@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -107,6 +108,61 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+var dictGaugeRuns int
+
+// TestServeTokenDictGauge pins terids_token_dict_size: ingesting one record
+// whose values hold 40 tokens no one has seen before moves the gauge by
+// exactly 40, and ingesting the same vocabulary again moves it no further.
+func TestServeTokenDictGauge(t *testing.T) {
+	dictGaugeRuns++ // the dictionary outlives the test: -count needs fresh tokens
+	f := loadServeFixture(t)
+	_, ts, _ := startObsServer(t, f, 2, 0)
+	gauge := func() int {
+		t.Helper()
+		_, body := get(t, ts.URL+"/metrics")
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, "terids_token_dict_size "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("terids_token_dict_size %q: %v", v, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/metrics has no terids_token_dict_size:\n%s", body)
+		return 0
+	}
+	post := func(rid string) {
+		t.Helper()
+		d := f.sh.Schema.D()
+		vals := make([]string, d)
+		for i := 0; i < 40; i++ {
+			vals[i%d] += fmt.Sprintf("Dictgauge%dx%02d, ", dictGaugeRuns, i)
+		}
+		line, err := json.Marshal(map[string]any{"rid": rid, "stream": 0, "seq": 0, "values": vals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/ingest?wait=1", "application/x-ndjson", strings.NewReader(string(line)+"\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest status %d", resp.StatusCode)
+		}
+	}
+	before := gauge()
+	post("dictgauge-a")
+	if got := gauge() - before; got != 40 {
+		t.Fatalf("gauge moved by %d after 40 new tokens, want 40", got)
+	}
+	post("dictgauge-b")
+	if got := gauge() - before; got != 40 {
+		t.Fatalf("gauge moved by %d after the same 40 tokens again, want 40", got)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"terids/internal/engine"
 	"terids/internal/obs"
 	"terids/internal/snapshot"
+	"terids/internal/tokens"
 	"terids/internal/tuple"
 	"terids/internal/wal"
 )
@@ -136,6 +137,8 @@ func newServer(schema *tuple.Schema, ringCap int, ringBase int64, ckptDir string
 	s.readyReason.Store("starting")
 	s.reg.GaugeFunc("terids_uptime_seconds", "Seconds since this process started serving.", nil,
 		func() float64 { return time.Since(s.started).Seconds() })
+	s.reg.GaugeFunc("terids_token_dict_size", "Distinct tokens in the process-wide token dictionary (append-only).", nil,
+		func() float64 { return float64(tokens.DictSize()) })
 	return s
 }
 

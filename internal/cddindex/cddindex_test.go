@@ -146,6 +146,7 @@ func TestApplicablePrunesConstants(t *testing.T) {
 	// tests).
 	pivotText := "rest fluids sleep water soup tea honey lemon"
 	pivotToks := tokens.Tokenize(pivotText)
+	pivotWords := pivotToks.Texts()
 	sel := sel4()
 	sel.PerAttr[3] = pivot.AttrPivots{Attr: 3, Texts: []string{pivotText}, Toks: []tokens.Set{pivotToks}}
 	set := rules.NewSet(4)
@@ -153,7 +154,7 @@ func TestApplicablePrunesConstants(t *testing.T) {
 		// Take i%7 tokens from the pivot plus one unique token.
 		v := fmt.Sprintf("unique%d", i)
 		for k := 0; k <= i%7; k++ {
-			v += " " + pivotToks[k]
+			v += " " + pivotWords[k]
 		}
 		set.MustAdd(&rules.Rule{
 			Kind: rules.KindCDD, Dependent: 2,

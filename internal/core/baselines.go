@@ -139,8 +139,9 @@ func (b *Baseline) Results() *ResultSet { return b.results }
 // Breakdown implements Resolver.
 func (b *Baseline) Breakdown() metrics.Breakdown { return b.breakdown }
 
-// PruneStats implements Resolver (non-zero only for Ij+GER, which prunes
-// through its grid).
+// PruneStats implements Resolver. Only Ij+GER prunes (through its grid); the
+// scanning baselines count every live other-stream tuple as both considered
+// and refined.
 func (b *Baseline) PruneStats() metrics.PruneStats { return b.pruneStat }
 
 // Advance implements Resolver.
@@ -214,6 +215,8 @@ func (b *Baseline) resolveScan(q *prune.Profile) []Pair {
 		}
 		for _, rid := range b.order[s] {
 			prof := b.profiles[rid]
+			b.pruneStat.Considered++
+			b.pruneStat.Refined++
 			p := prune.ExactProbabilityFullER(q, prof, b.cfg.Gamma)
 			if p > b.cfg.Alpha {
 				out = append(out, newPair(q.Im.R, prof.Im.R, p))

@@ -28,7 +28,9 @@ type Shared struct {
 	DDRules *rules.Set
 	// EdRules is the editing-rule subset of the er+ER baseline.
 	EdRules *rules.Set
-	// Keywords is the query keyword set K as a token set (sorted).
+	// Keywords is the query keyword set K as a token set. Its ID order is
+	// private to this process; keyword i of a KW bit vector is the i-th of
+	// Keywords.SortedByText().
 	Keywords tokens.Set
 	// DomIdx are per-attribute pivot-ordered domain indexes (accelerated
 	// candidate range queries).

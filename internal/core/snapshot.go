@@ -26,7 +26,7 @@ func NewCheckpointHeader(sh *Shared, cfg Config) *snapshot.Checkpoint {
 		TimeSpan:    cfg.TimeSpan,
 		Gamma:       cfg.Gamma,
 		Alpha:       cfg.Alpha,
-		Keywords:    append([]string(nil), sh.Keywords...),
+		Keywords:    sh.Keywords.Texts(),
 		SchemaAttrs: sh.Schema.Attrs(),
 	}
 }
@@ -40,7 +40,7 @@ func CheckpointCompatible(sh *Shared, cfg Config, c *snapshot.Checkpoint) error 
 	if attrs := sh.Schema.Attrs(); !slices.Equal(attrs, c.SchemaAttrs) {
 		return fmt.Errorf("core: checkpoint schema %v, have %v", c.SchemaAttrs, attrs)
 	}
-	if kws := []string(sh.Keywords); !slices.Equal(kws, c.Keywords) {
+	if kws := sh.Keywords.Texts(); !slices.Equal(kws, c.Keywords) {
 		return fmt.Errorf("core: checkpoint keywords %v, have %v", c.Keywords, kws)
 	}
 	if cfg.Streams != c.Streams {

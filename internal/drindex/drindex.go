@@ -10,6 +10,8 @@ package drindex
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"terids/internal/agg"
 	"terids/internal/artree"
@@ -24,14 +26,15 @@ import (
 type Index struct {
 	repo     *repository.Repository
 	sel      *pivot.Selection
-	keywords tokens.Set
+	keywords []uint32 // in text order: keyword i owns aggregate bit i
 	nPiv     int
 	tree     *artree.Tree
+	queries  sync.Pool // of *multiQuery
 }
 
 // Build converts every repository sample to its d-dimensional point and
 // bulk-inserts into the aR-tree. keywords drive the keyword-vector
-// aggregates (bit i = keywords[i]).
+// aggregates (bit i = the i-th keyword in text order).
 func Build(repo *repository.Repository, sel *pivot.Selection, keywords tokens.Set) (*Index, error) {
 	d := repo.Schema().D()
 	if len(sel.PerAttr) != d {
@@ -41,9 +44,12 @@ func Build(repo *repository.Repository, sel *pivot.Selection, keywords tokens.Se
 	ix := &Index{
 		repo:     repo,
 		sel:      sel,
-		keywords: keywords,
+		keywords: keywords.SortedByText(),
 		nPiv:     nPiv,
 		tree:     artree.New(d, agg.Merger{D: d, NPiv: nPiv, NKW: len(keywords)}),
+	}
+	ix.queries.New = func() any {
+		return &multiQuery{dists: make([]float64, d), have: make([]bool, d)}
 	}
 	for _, s := range repo.Samples() {
 		ix.insert(s)
@@ -70,7 +76,7 @@ func (ix *Index) insert(s *tuple.Record) {
 		}
 	}
 	for i, kw := range ix.keywords {
-		if s.ContainsAnyKeyword(tokens.New(kw)) {
+		if s.ContainsAnyKeyword(tokens.Set{kw}) {
 			sum.KW.Set(i)
 		}
 	}
@@ -122,12 +128,13 @@ type ruleGeometry struct {
 	aux    []auxWin
 }
 
-func (ix *Index) geometryOf(r *tuple.Record, rule *rules.Rule) ruleGeometry {
-	d := ix.repo.Schema().D()
-	g := ruleGeometry{lo: make([]float64, d), hi: make([]float64, d)}
-	for x := 0; x < d; x++ {
+// setGeometry fills g, whose lo and hi already have one slot per attribute,
+// with the window rule implies for r.
+func (ix *Index) setGeometry(g *ruleGeometry, r *tuple.Record, rule *rules.Rule) {
+	for x := range g.lo {
 		g.lo[x], g.hi[x] = 0, 1
 	}
+	g.aux = g.aux[:0]
 	for _, c := range rule.Determinants {
 		x := c.Attr
 		switch c.Kind {
@@ -150,7 +157,6 @@ func (ix *Index) geometryOf(r *tuple.Record, rule *rules.Rule) ruleGeometry {
 			}
 		}
 	}
-	return g
 }
 
 // nodeMayHold reports whether an aR-tree node (MBR + aggregate) can contain
@@ -173,13 +179,21 @@ func (g *ruleGeometry) nodeMayHold(rect artree.Rect, sum *agg.Summary) bool {
 	return true
 }
 
-func (g *ruleGeometry) itemInWindow(rect artree.Rect) bool {
-	for x := range g.lo {
-		if rect.Min[x] > g.hi[x] || rect.Max[x] < g.lo[x] {
-			return false
-		}
-	}
-	return true
+// multiQuery is the state of one MatchingSamplesMulti call. It is recycled
+// through Index.queries, so the rule windows and the per-sample distance
+// cache are allocated once per concurrent caller rather than once per call.
+type multiQuery struct {
+	r     *tuple.Record
+	rs    []*rules.Rule
+	visit func(ruleIdx int, s *tuple.Record) bool
+	stats QueryStats
+
+	geoms  []ruleGeometry
+	bounds []float64 // backs every geometry's lo and hi
+	// dists[x] caches dist(r[A_x], s[A_x]) for the sample under
+	// verification; have[x] says whether it has been computed yet.
+	dists []float64
+	have  []bool
 }
 
 // MatchingSamplesMulti retrieves, in a single aR-tree traversal, the
@@ -194,77 +208,90 @@ func (g *ruleGeometry) itemInWindow(rect artree.Rect) bool {
 // baselines (Section 5.3). visit receives the rule's index in the input
 // slice; returning false stops everything.
 func (ix *Index) MatchingSamplesMulti(r *tuple.Record, rs []*rules.Rule, visit func(ruleIdx int, s *tuple.Record) bool) QueryStats {
-	var stats QueryStats
 	if len(rs) == 0 {
-		return stats
+		return QueryStats{}
 	}
-	geoms := make([]ruleGeometry, len(rs))
+	q := ix.queries.Get().(*multiQuery)
+	q.r, q.rs, q.visit, q.stats = r, rs, visit, QueryStats{}
+	d := len(q.dists)
+	q.bounds = slices.Grow(q.bounds[:0], 2*d*len(rs))[:2*d*len(rs)]
+	// Growing within capacity keeps the aux buffers of earlier calls.
+	q.geoms = slices.Grow(q.geoms[:0], len(rs))[:len(rs)]
 	for i, rule := range rs {
-		geoms[i] = ix.geometryOf(r, rule)
+		g := &q.geoms[i]
+		g.lo, g.hi = q.bounds[2*d*i:2*d*i+d], q.bounds[2*d*i+d:2*d*(i+1)]
+		ix.setGeometry(g, r, rule)
 	}
-	d := ix.repo.Schema().D()
-	dists := make([]float64, d)
-	have := make([]bool, d)
-	ix.tree.Traverse(
-		func(rect artree.Rect, a any) bool {
-			stats.NodesVisited++
-			if rect.Dims() == 0 {
-				stats.NodesPruned++
+	ix.tree.Traverse(q.descend, q.verify)
+	stats := q.stats
+	q.r, q.rs, q.visit = nil, nil, nil
+	ix.queries.Put(q)
+	return stats
+}
+
+// descend is the node test: a subtree is entered if any rule's window may
+// hold samples below it.
+func (q *multiQuery) descend(rect artree.Rect, a any) bool {
+	q.stats.NodesVisited++
+	if rect.Dims() == 0 {
+		q.stats.NodesPruned++
+		return false
+	}
+	sum := a.(*agg.Summary)
+	for i := range q.geoms {
+		if q.geoms[i].nodeMayHold(rect, sum) {
+			return true
+		}
+	}
+	q.stats.NodesPruned++
+	return false
+}
+
+// verify is the leaf verifier: the exact check of every rule against one
+// sample, over distances computed at most once per attribute.
+//
+//terids:hotpath
+func (q *multiQuery) verify(it artree.Item) bool {
+	s := it.Data.(*tuple.Record)
+	for x := range q.have {
+		q.have[x] = false
+	}
+	q.stats.Verified++
+	for i, rule := range q.rs {
+		// No per-geometry window recheck: the cached-distance
+		// verification below is exact and cheaper than d float
+		// comparisons per geometry.
+		matched := true
+		for _, c := range rule.Determinants {
+			x := c.Attr
+			if !q.have[x] {
+				q.dists[x] = tokens.JaccardDistance(q.r.Tokens(x), s.Tokens(x))
+				q.have[x] = true
+			}
+			switch c.Kind {
+			case rules.Const:
+				// AppliesTo(r) established r[A_x] == const, so the
+				// sample matches iff it equals r's value.
+				if q.dists[x] != 0 {
+					matched = false
+				}
+			case rules.Interval:
+				if q.dists[x] < c.Min || q.dists[x] > c.Max {
+					matched = false
+				}
+			}
+			if !matched {
+				break
+			}
+		}
+		if matched {
+			q.stats.Matched++
+			if !q.visit(i, s) {
 				return false
 			}
-			sum := a.(*agg.Summary)
-			for i := range geoms {
-				if geoms[i].nodeMayHold(rect, sum) {
-					return true
-				}
-			}
-			stats.NodesPruned++
-			return false
-		},
-		func(it artree.Item) bool {
-			s := it.Data.(*tuple.Record)
-			for x := range have {
-				have[x] = false
-			}
-			stats.Verified++
-			for i := range geoms {
-				// No per-geometry window recheck: the cached-distance
-				// verification below is exact and cheaper than d float
-				// comparisons per geometry.
-				matched := true
-				for _, c := range rs[i].Determinants {
-					x := c.Attr
-					if !have[x] {
-						dists[x] = tokens.JaccardDistance(r.Tokens(x), s.Tokens(x))
-						have[x] = true
-					}
-					switch c.Kind {
-					case rules.Const:
-						// AppliesTo(r) established r[A_x] == const, so the
-						// sample matches iff it equals r's value.
-						if dists[x] != 0 {
-							matched = false
-						}
-					case rules.Interval:
-						if dists[x] < c.Min || dists[x] > c.Max {
-							matched = false
-						}
-					}
-					if !matched {
-						break
-					}
-				}
-				if matched {
-					stats.Matched++
-					if !visit(i, s) {
-						return false
-					}
-				}
-			}
-			return true
-		},
-	)
-	return stats
+		}
+	}
+	return true
 }
 
 // RootSummary exposes the whole-repository aggregate (used by the join to

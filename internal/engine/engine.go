@@ -46,6 +46,7 @@ import (
 	"terids/internal/obs"
 	"terids/internal/prune"
 	"terids/internal/stream"
+	"terids/internal/tokens"
 	"terids/internal/tuple"
 	"terids/internal/wal"
 )
@@ -253,10 +254,13 @@ type Engine struct {
 	shardPairsPool  *slicePool[shardPair]
 	walBufPool      *slicePool[wal.Entry]
 
-	// Interned topic tables (see topic.go): kwSlots caches each shared
-	// keyword's layout slot (keywords are immutable for the engine's life);
-	// homeSingle[s] and homeAll are the shared, read-only home-shard slices
-	// homeShards returns, rebuilt whenever K changes.
+	// Interned topic tables (see topic.go): kwIDs holds the shared keywords
+	// in text order — keyword i owns bit i of every profile's KW vector —
+	// and kwSlots[i] caches keyword i's layout slot, hashed from its text
+	// (keywords are immutable for the engine's life); homeSingle[s] and
+	// homeAll are the shared, read-only home-shard slices homeShards
+	// returns, rebuilt whenever K changes.
+	kwIDs      []uint32
 	kwSlots    []int
 	homeSingle [][]int
 	homeAll    []int
@@ -371,10 +375,10 @@ func newEngine(sh *core.Shared, cfg Config) (*Engine, error) {
 	e.partEntriesPool = newSlicePool[partialEntry](ps("partial_batch"))
 	e.shardPairsPool = newSlicePool[shardPair](ps("shard_pairs"))
 	e.walBufPool = newSlicePool[wal.Entry](ps("wal_entries"))
-	kws := step.Shared().Keywords
-	e.kwSlots = make([]int, len(kws))
-	for i, kw := range kws {
-		e.kwSlots[i] = slotOf(kw)
+	e.kwIDs = step.Shared().Keywords.SortedByText()
+	e.kwSlots = make([]int, len(e.kwIDs))
+	for i, kw := range e.kwIDs {
+		e.kwSlots[i] = slotOf(tokens.Text(kw))
 	}
 	e.internHomes()
 

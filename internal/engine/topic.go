@@ -47,7 +47,7 @@ func slotOf(s string) int { return int(fnv32a(s) % LayoutSlots) }
 // keywordMass sums, over attributes, the candidate probability mass of
 // candidates containing kw — an upper-bound style weight of how much of the
 // tuple's possible-worlds mass carries this topic.
-func keywordMass(im *tuple.Imputed, kw string) float64 {
+func keywordMass(im *tuple.Imputed, kw uint32) float64 {
 	m := 0.0
 	for _, d := range im.Dists {
 		for _, c := range d.Cands {
@@ -86,7 +86,7 @@ func (e *Engine) internHomes() {
 //
 //terids:hotpath
 func (e *Engine) homeShards(prof *prune.Profile) (homes []int, slot int) {
-	kws := e.step.Shared().Keywords
+	kws := e.kwIDs
 	var best, second float64
 	bestKW, secondKW := -1, -1
 	for i := range kws {

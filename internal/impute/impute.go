@@ -7,8 +7,6 @@
 package impute
 
 import (
-	"sort"
-
 	"terids/internal/metrics"
 	"terids/internal/repository"
 	"terids/internal/rules"
@@ -49,9 +47,12 @@ func FailedCandidate() tuple.AttrDist {
 // It memoizes per-(sample value, dependent interval) candidate sets, and
 // optionally accelerates domain range queries with a pivot index.
 type Accumulator struct {
-	dom   *repository.Domain
-	idx   *repository.Index
-	freq  map[int]float64
+	dom *repository.Domain
+	idx *repository.Index
+	// freq[v] is the count of domain value v; mass is the sum of all
+	// counts. Counts are whole numbers, so both are exact.
+	freq  []float64
+	mass  float64
 	cache map[candKey][]int
 }
 
@@ -67,7 +68,7 @@ func NewAccumulator(dom *repository.Domain, idx *repository.Index) *Accumulator 
 	return &Accumulator{
 		dom:   dom,
 		idx:   idx,
-		freq:  make(map[int]float64),
+		freq:  make([]float64, dom.Len()),
 		cache: make(map[candKey][]int),
 	}
 }
@@ -76,6 +77,8 @@ func NewAccumulator(dom *repository.Domain, idx *repository.Index) *Accumulator 
 // dependent interval [depMin, depMax]: every domain value val with
 // dist(s[A_j], val) inside the interval gains one count (the cand(s[A_j])
 // set of Section 3).
+//
+//terids:hotpath
 func (a *Accumulator) AddSample(sampleValIdx int, depMin, depMax float64) {
 	key := candKey{sampleValIdx, depMin, depMax}
 	cands, ok := a.cache[key]
@@ -91,31 +94,78 @@ func (a *Accumulator) AddSample(sampleValIdx int, depMin, depMax float64) {
 	for _, c := range cands {
 		a.freq[c]++
 	}
+	a.mass += float64(len(cands))
 }
 
 // Empty reports whether no candidate was accumulated.
-func (a *Accumulator) Empty() bool { return len(a.freq) == 0 }
+func (a *Accumulator) Empty() bool { return a.mass == 0 }
 
 // Distribution emits the candidate distribution with probabilities
-// proportional to accumulated frequencies (Equation 4), truncated per cfg
-// and normalized. An empty accumulator yields FailedCandidate.
+// proportional to accumulated frequencies (Equation 4): every candidate in
+// domain order when there are at most cfg.MaxCandidates of them (or no
+// cap), otherwise the cfg.MaxCandidates most probable, ties broken by text,
+// renormalized. An empty accumulator yields FailedCandidate.
 func (a *Accumulator) Distribution(cfg Config) tuple.AttrDist {
-	if len(a.freq) == 0 {
+	if a.mass == 0 {
 		return FailedCandidate()
 	}
-	idxs := make([]int, 0, len(a.freq))
-	for i := range a.freq {
-		idxs = append(idxs, i)
+	n := 0
+	for _, f := range a.freq {
+		if f != 0 {
+			n++
+		}
 	}
-	sort.Ints(idxs)
-	dist := tuple.AttrDist{Cands: make([]tuple.Candidate, 0, len(idxs))}
-	for _, i := range idxs {
-		v := a.dom.Value(i)
-		dist.Cands = append(dist.Cands, tuple.Candidate{Text: v.Text, Toks: v.Toks, P: a.freq[i]})
+	k := cfg.MaxCandidates
+	if k <= 0 || n <= k {
+		dist := tuple.AttrDist{Cands: make([]tuple.Candidate, 0, n)}
+		for v, f := range a.freq {
+			if f != 0 {
+				dist.Cands = append(dist.Cands, a.candidate(v))
+			}
+		}
+		return dist
+	}
+	// top holds the best k values seen so far, best first. Ranking by count
+	// is ranking by probability: all counts are divided by the same mass.
+	top := make([]int, 0, k)
+	for v, f := range a.freq {
+		if f == 0 {
+			continue
+		}
+		pos := len(top)
+		for pos > 0 && a.ranksBefore(v, top[pos-1]) {
+			pos--
+		}
+		if pos == k {
+			continue
+		}
+		if len(top) < k {
+			top = append(top, 0)
+		}
+		copy(top[pos+1:], top[pos:])
+		top[pos] = v
+	}
+	dist := tuple.AttrDist{Cands: make([]tuple.Candidate, k)}
+	for i, v := range top {
+		dist.Cands[i] = a.candidate(v)
 	}
 	dist.Normalize()
-	dist.Truncate(cfg.MaxCandidates)
 	return dist
+}
+
+// candidate is domain value v with its share of the accumulated mass.
+func (a *Accumulator) candidate(v int) tuple.Candidate {
+	dv := a.dom.Value(v)
+	return tuple.Candidate{Text: dv.Text, Toks: dv.Toks, P: a.freq[v] / a.mass}
+}
+
+// ranksBefore orders domain values by count descending, then text
+// ascending.
+func (a *Accumulator) ranksBefore(v, w int) bool {
+	if a.freq[v] != a.freq[w] {
+		return a.freq[v] > a.freq[w]
+	}
+	return a.dom.Value(v).Text < a.dom.Value(w).Text
 }
 
 // RuleImputer imputes by scanning the repository with a rule set — the

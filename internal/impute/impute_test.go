@@ -72,7 +72,7 @@ func TestRuleImputerImputesDiagnosis(t *testing.T) {
 	// The diabetes diagnoses must be the candidates (samples p1 and p2
 	// match the symptom constraint; flu samples do not).
 	for _, c := range d.Cands {
-		if !c.Toks.Contains("diabetes") {
+		if !c.Toks.ContainsAny(tokens.New("diabetes")) {
 			t.Errorf("unexpected candidate %q", c.Text)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"terids/internal/repository"
@@ -85,12 +86,75 @@ func TestQuickAccumulatorCacheConsistency(t *testing.T) {
 		acc.AddSample(vi, lo, hi)
 		acc.AddSample(vi, lo, hi) // cached path
 		want := dom.RangeByDistance(dom.Value(vi).Toks, lo, hi)
-		if len(acc.freq) != len(want) {
-			t.Fatalf("trial %d: freq over %d values, want %d", trial, len(acc.freq), len(want))
-		}
+		wantFreq := make([]float64, dom.Len())
 		for _, w := range want {
-			if acc.freq[w] != 2 {
-				t.Fatalf("trial %d: value %d counted %v times, want 2", trial, w, acc.freq[w])
+			wantFreq[w] = 2
+		}
+		if !slices.Equal(acc.freq, wantFreq) {
+			t.Fatalf("trial %d: counts %v, want %v", trial, acc.freq, wantFreq)
+		}
+	}
+}
+
+// referenceDistribution is the accumulator's previous Distribution, kept as
+// the oracle: materialize every candidate in domain order, Normalize, then
+// Truncate (sort by probability descending and text ascending, cut,
+// renormalize).
+func referenceDistribution(a *Accumulator, cfg Config) tuple.AttrDist {
+	var dist tuple.AttrDist
+	for v, f := range a.freq {
+		if f != 0 {
+			dv := a.dom.Value(v)
+			dist.Cands = append(dist.Cands, tuple.Candidate{Text: dv.Text, Toks: dv.Toks, P: f})
+		}
+	}
+	if len(dist.Cands) == 0 {
+		return FailedCandidate()
+	}
+	dist.Normalize()
+	dist.Truncate(cfg.MaxCandidates)
+	return dist
+}
+
+// TestQuickDistributionMatchesReference checks the top-k selection against
+// the build-all, sort and truncate reference: same candidates, same order,
+// and bit-identical probabilities, for no cap, caps below, at and above the
+// candidate count, and an accumulator nothing was added to.
+func TestQuickDistributionMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(103))
+	sch := tuple.MustSchema("a")
+	for trial := 0; trial < 300; trial++ {
+		recs := make([]*tuple.Record, 2+r.Intn(60))
+		for i := range recs {
+			words := ""
+			for k := 1 + r.Intn(4); k > 0; k-- {
+				words += fmt.Sprintf("w%d ", r.Intn(9))
+			}
+			recs[i] = tuple.MustRecord(sch, fmt.Sprintf("s%d", i), 0, 0, []string{words})
+		}
+		repo, err := repository.Build(sch, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dom := repo.Domain(0)
+		acc := NewAccumulator(dom, nil)
+		// Few samples leave many equal counts, so the text tie-break decides
+		// the cut; many samples spread the counts out.
+		for n := r.Intn(12); n > 0; n-- {
+			lo := r.Float64() * 0.6
+			acc.AddSample(r.Intn(dom.Len()), lo, lo+r.Float64()*0.6)
+		}
+		for _, k := range []int{-1, 0, 1, 2, 3, 6, dom.Len(), dom.Len() + 5} {
+			cfg := Config{MaxCandidates: k}
+			got, want := acc.Distribution(cfg), referenceDistribution(acc, cfg)
+			if len(got.Cands) != len(want.Cands) {
+				t.Fatalf("trial %d cap %d: %d candidates, reference %d", trial, k, len(got.Cands), len(want.Cands))
+			}
+			for i := range want.Cands {
+				g, w := got.Cands[i], want.Cands[i]
+				if g.Text != w.Text || g.P != w.P || !g.Toks.Equal(w.Toks) {
+					t.Fatalf("trial %d cap %d: candidate %d = {%q %v}, reference {%q %v}", trial, k, i, g.Text, g.P, w.Text, w.P)
+				}
 			}
 		}
 	}

@@ -45,10 +45,11 @@ type Profile struct {
 }
 
 // BuildProfile computes the profile of an imputed tuple under the given
-// pivot selection and query keywords. keywords must be sorted (a
-// tokens.Set); bit i of KW corresponds to keywords[i].
+// pivot selection and query keywords; bit i of KW corresponds to the i-th
+// keyword in text order.
 func BuildProfile(im *tuple.Imputed, sel *pivot.Selection, keywords tokens.Set) *Profile {
 	d := len(im.Dists)
+	kwByText := keywords.SortedByText()
 	p := &Profile{
 		Im: im,
 		Bounds: Bounds{
@@ -73,7 +74,7 @@ func BuildProfile(im *tuple.Imputed, sel *pivot.Selection, keywords tokens.Set) 
 				p.Dist[x][a].Extend(dist)
 				p.Exp[x][a] += dist * c.P
 			}
-			for i, kw := range keywords {
+			for i, kw := range kwByText {
 				if c.Toks.Contains(kw) {
 					p.KW.Set(i)
 				}

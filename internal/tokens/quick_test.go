@@ -89,28 +89,6 @@ func TestQuickPivotBoundDominates(t *testing.T) {
 	}
 }
 
-func TestQuickUnionIntersectConsistency(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for i := 0; i < 5000; i++ {
-		a, b := randSet(r), randSet(r)
-		u, x := a.Union(b), a.Intersect(b)
-		if u.Len() != a.UnionSize(b) {
-			t.Fatalf("UnionSize mismatch: %d vs %d", u.Len(), a.UnionSize(b))
-		}
-		if x.Len() != a.IntersectSize(b) {
-			t.Fatalf("IntersectSize mismatch: %d vs %d", x.Len(), a.IntersectSize(b))
-		}
-		if u.Len()+x.Len() != a.Len()+b.Len() {
-			t.Fatalf("|A∪B|+|A∩B| != |A|+|B| for %v, %v", a, b)
-		}
-		for _, tok := range x {
-			if !a.Contains(tok) || !b.Contains(tok) {
-				t.Fatalf("intersect token %q missing from input", tok)
-			}
-		}
-	}
-}
-
 func TestQuickTokenizeIdempotent(t *testing.T) {
 	f := func(s string) bool {
 		once := Tokenize(s)

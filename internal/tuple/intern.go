@@ -67,30 +67,5 @@ func (in *Interner) Len() int {
 // package-level constructor (same validation, same resulting Record) except
 // that token sets for repeated values are shared via the interner.
 func (in *Interner) NewRecord(schema *Schema, rid string, stream int, seq int64, values []string) (*Record, error) {
-	if schema == nil {
-		return nil, errNilSchema
-	}
-	if len(values) != schema.D() {
-		return nil, errValueCount(rid, len(values), schema.D())
-	}
-	r := &Record{
-		RID:      rid,
-		Stream:   stream,
-		Seq:      seq,
-		EntityID: -1,
-		schema:   schema,
-		vals:     append([]string(nil), values...),
-		miss:     make([]bool, len(values)),
-		toks:     make([]tokens.Set, len(values)),
-	}
-	for j, v := range r.vals {
-		if v == Missing || v == "" {
-			r.vals[j] = Missing
-			r.miss[j] = true
-			r.nMiss++
-			continue
-		}
-		r.toks[j] = in.tokenize(v)
-	}
-	return r, nil
+	return newRecord(schema, rid, stream, seq, values, in.tokenize)
 }

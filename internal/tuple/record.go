@@ -28,21 +28,21 @@ type Record struct {
 	nMiss  int
 }
 
-var errNilSchema = fmt.Errorf("tuple: nil schema")
-
-func errValueCount(rid string, got, want int) error {
-	return fmt.Errorf("tuple: record %q has %d values, schema has %d attributes", rid, got, want)
-}
-
 // NewRecord builds a record over schema. values must have exactly schema.D()
 // entries; the Missing marker ("-") or an empty string denotes a missing
 // attribute.
 func NewRecord(schema *Schema, rid string, stream int, seq int64, values []string) (*Record, error) {
+	return newRecord(schema, rid, stream, seq, values, tokens.Tokenize)
+}
+
+// newRecord is the one record constructor; tokenize turns a present
+// attribute value into its token set.
+func newRecord(schema *Schema, rid string, stream int, seq int64, values []string, tokenize func(string) tokens.Set) (*Record, error) {
 	if schema == nil {
-		return nil, errNilSchema
+		return nil, fmt.Errorf("tuple: nil schema")
 	}
 	if len(values) != schema.D() {
-		return nil, errValueCount(rid, len(values), schema.D())
+		return nil, fmt.Errorf("tuple: record %q has %d values, schema has %d attributes", rid, len(values), schema.D())
 	}
 	r := &Record{
 		RID:      rid,
@@ -61,7 +61,7 @@ func NewRecord(schema *Schema, rid string, stream int, seq int64, values []strin
 			r.nMiss++
 			continue
 		}
-		r.toks[j] = tokens.Tokenize(v)
+		r.toks[j] = tokenize(v)
 	}
 	return r, nil
 }

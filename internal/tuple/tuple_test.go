@@ -66,7 +66,7 @@ func TestNewRecord(t *testing.T) {
 	if r.Value(2) != Missing || r.Value(3) != Missing {
 		t.Error("missing values must normalize to the Missing marker")
 	}
-	if !r.Tokens(1).Contains("blurred") {
+	if !r.Tokens(1).ContainsAny(tokens.New("blurred")) {
 		t.Error("tokens must be precomputed")
 	}
 	if r.Tokens(2) != nil {
@@ -102,7 +102,7 @@ func TestAllTokensAndKeywords(t *testing.T) {
 	r := MustRecord(s, "x", 0, 0, []string{"diabetes care", "-", "drug therapy"})
 	all := r.AllTokens()
 	for _, tok := range []string{"diabetes", "care", "drug", "therapy"} {
-		if !all.Contains(tok) {
+		if !all.ContainsAny(tokens.New(tok)) {
 			t.Errorf("AllTokens missing %q", tok)
 		}
 	}
