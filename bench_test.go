@@ -1,8 +1,8 @@
 // Package bench holds one testing.B benchmark per table and figure of the
 // paper's evaluation section (plus the ablation studies). Each benchmark
 // regenerates its experiment end to end at a reduced scale; the full-scale
-// reports (and the paper-vs-measured comparison) live in EXPERIMENTS.md and
-// are produced by cmd/terids-bench.
+// reports (and the paper-vs-measured comparison) are produced by
+// cmd/terids-bench (see README.md, "Benchmarks").
 package bench
 
 import (

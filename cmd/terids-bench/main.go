@@ -1,6 +1,6 @@
 // Command terids-bench regenerates the paper's evaluation tables and
-// figures over the synthetic dataset profiles (see DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for recorded outputs).
+// figures over the synthetic dataset profiles (-list prints the experiment
+// index; see README.md, "Benchmarks").
 //
 // Usage:
 //

@@ -112,6 +112,23 @@ func TestCrashFlightRecorder(t *testing.T) {
 		t.Fatalf("child ingest: status %d (%s)", resp.StatusCode, body)
 	}
 
+	// ?wait=1 only means blocking submit: the bundle can only carry a sampled
+	// trace once the merger has finalized one, so wait for /trace to show it.
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(base + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if len(traces) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("child never finalized a sampled trace")
+		}
+	}
+
 	// The crash. SIGQUIT must dump a bundle and exit 2.
 	if err := cmd.Process.Signal(syscall.SIGQUIT); err != nil {
 		t.Fatal(err)

@@ -448,10 +448,8 @@ func main() {
 		})
 		log.Printf("durable: wal at %s, resumed at seq %d (%d arrivals replayed)",
 			*walDir, dur.ResumeSeq(), dur.Replayed())
-	case ckpt != nil:
-		eng, err = engine.NewFromSnapshot(sh, engCfg, ckpt)
 	default:
-		eng, err = engine.New(sh, engCfg)
+		eng, err = engine.NewFromSnapshot(sh, engCfg, ckpt) // nil ckpt: fresh engine
 	}
 	if err != nil {
 		log.Fatal(err)

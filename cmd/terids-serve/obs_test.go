@@ -170,8 +170,13 @@ func TestServeTokenDictGauge(t *testing.T) {
 // retained and served as one NDJSON object per line.
 func TestServeTraceEndpoint(t *testing.T) {
 	f := loadServeFixture(t)
-	_, ts, _ := startObsServer(t, f, 2, 1)
+	srv, ts, _ := startObsServer(t, f, 2, 1)
 	ingest(t, ts, f.stream[:40])
+	// ?wait=1 only means blocking submit; a trace is retained when the merger
+	// finalizes its arrival, so drain to the watermark before reading.
+	if err := srv.eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, body := get(t, ts.URL+"/trace")
 	if resp.StatusCode != http.StatusOK {

@@ -252,10 +252,8 @@ func main() {
 				fmt.Printf("wal: resumed at arrival %d (%d replayed from the log)\n", resume, dur.Replayed())
 			}
 			stream = stream[resume:]
-		case ckpt != nil:
-			eng, err = engine.NewFromSnapshot(sh, engCfg, ckpt)
 		default:
-			eng, err = engine.New(sh, engCfg)
+			eng, err = engine.NewFromSnapshot(sh, engCfg, ckpt) // nil ckpt: fresh engine
 		}
 		if err != nil {
 			log.Fatal(err)

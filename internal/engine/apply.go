@@ -4,8 +4,8 @@
 // WAL underneath the tailer, the follower applies the delta-checkpoint
 // chain onto its live engine and resumes tailing from the new watermark,
 // instead of rebuilding from scratch. The engine object, its OnResult
-// subscribers, metrics, and journal all survive the jump; only the
-// routing/window/shard state and the entity set are replaced.
+// subscribers, metrics, and journal all survive the jump; the operator
+// state is replaced through the same swap a rebalance uses.
 //
 // AttachWAL is the other half of warm-standby takeover: promotion opens
 // the writer's log (the flock guarantees the old writer is gone), replays
@@ -47,13 +47,11 @@ func (e *Engine) AttachWAL(l *wal.Log) error {
 	return nil
 }
 
-// ApplyCheckpoint advances a running engine to checkpoint c in place:
-// barrier-drain to the current watermark, stop the pipeline, swap the
-// routing/window/shard state for the checkpoint's, replace the entity set
-// and progress counters, and restart. Submissions block for the duration
-// (like Rebalance); OnResult, metrics, and the journal stay attached.
-// The checkpoint must be at or ahead of the engine's watermark — a live
-// engine never rewinds. Must not be called from OnResult.
+// ApplyCheckpoint advances a running engine to checkpoint c in place — a
+// swap onto c's state (see swap for the pause/ownership rules). Submissions
+// block for the duration (like Rebalance); OnResult, metrics, and the
+// journal stay attached. The checkpoint must be at or ahead of the engine's
+// watermark — a live engine never rewinds. Must not be called from OnResult.
 //
 //terids:deterministic
 func (e *Engine) ApplyCheckpoint(c *snapshot.Checkpoint) error {
@@ -63,75 +61,21 @@ func (e *Engine) ApplyCheckpoint(c *snapshot.Checkpoint) error {
 	if err := core.CheckpointCompatible(e.step.Shared(), e.cfg.Core, c); err != nil {
 		return err
 	}
-
 	e.subMu.Lock()
 	defer e.subMu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	if err := e.Err(); err != nil {
-		return err
-	}
 	if c.Seq < e.seq.Load() {
 		return fmt.Errorf("engine: checkpoint watermark %d is behind the engine at %d", c.Seq, e.seq.Load())
 	}
 	// Adopt the checkpoint's topology when it carries one, so a follower
 	// tracks the writer across rebalances; otherwise keep the current K
 	// under the default table (placement is free — results are identical).
-	l := Layout{K: e.cfg.Shards}
-	if c.Shards >= 1 && c.Shards <= maxAdoptShards && len(c.SlotTable) == LayoutSlots {
-		l = Layout{K: c.Shards, Slots: c.SlotTable}
+	l, ok := checkpointLayout(c)
+	if !ok {
+		l = DefaultLayout(e.cfg.Shards)
 	}
-	l, err := l.normalized()
-	if err != nil {
+	if _, err := e.swap(l, c); err != nil {
 		return err
 	}
-
-	e.rebalancing.Store(true)
-	defer e.rebalancing.Store(false)
-	// Submitters between sequence assignment and pipeline injection must
-	// land before the barrier can drain to the watermark.
-	e.inflight.Wait()
-	target := e.seq.Load()
-	e.resultsMu.Lock()
-	for e.completed < target && e.Err() == nil {
-		e.drained.Wait()
-	}
-	e.resultsMu.Unlock()
-	if err := e.Err(); err != nil {
-		return err
-	}
-	// The pipeline is idle at the barrier; stop it (closing intake cascades
-	// left to right) and rebuild under the checkpoint's state.
-	close(e.imputeIn)
-	e.mergeWG.Wait()
-	if err := e.Err(); err != nil {
-		return err
-	}
-	e.stateMu.Lock()
-	recs, err := e.rebuild(l, c)
-	e.stateMu.Unlock()
-	if err == nil {
-		results := core.NewResultSet()
-		if rerr := core.RestoreResults(results, recs, c); rerr != nil {
-			err = rerr
-		} else {
-			e.resultsMu.Lock()
-			e.results = results
-			e.completed = c.Completed
-			e.rejected = c.Rejected
-			e.resultsMu.Unlock()
-		}
-	}
-	if err != nil {
-		// The old pipeline is gone and the new one never started: the
-		// engine is unusable. Fail it so submitters see the error.
-		e.closed = true
-		e.fail(err)
-		return err
-	}
-	e.seq.Store(c.Seq)
-	e.start()
 	e.jr.Record("checkpoint_applied", "advanced live engine to checkpoint",
 		map[string]any{"seq": c.Seq, "shards": e.cfg.Shards, "residents": len(c.Residents)})
 	return nil

@@ -214,25 +214,37 @@ func TestTrySubmitNotBlockedByStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Park blocking submitters until the ingest queue is full and at least
-	// one Submit is stalled mid-injection.
-	const parked = 24
+	// One feeder submits in order, so every routed batch carries exactly one
+	// arrival and the wedged pipeline absorbs a fixed handful of them — far
+	// fewer than parked: the feeder is guaranteed to end up stalled
+	// mid-injection on the full ingest queue. (Concurrent submitters can
+	// inject out of order, which lets the router release all of them as one
+	// batch that never backs up.)
+	const parked = 48
 	var wg sync.WaitGroup
-	for i := 0; i < parked; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := eng.Submit(f.stream[i]); err != nil {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i, r := range f.stream[:parked] {
+			if err := eng.Submit(r); err != nil {
 				t.Errorf("parked submit %d: %v", i, err)
 			}
-		}(i)
-	}
+		}
+	}()
+	// While the stages behind the queue are still backing up one by one, the
+	// queue fills and gives up a slot by turns, and a TrySubmit could land in
+	// a free one. The stall has reached the feeder for good once the queue
+	// has stayed full, with no further Submit getting through, for a while.
 	deadline := time.Now().Add(5 * time.Second)
-	for len(eng.imputeIn) < cap(eng.imputeIn) {
+	for seq, still := int64(-1), 0; still < 50; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("ingest queue never filled while the pipeline was wedged")
 		}
-		time.Sleep(time.Millisecond)
+		if s := eng.seq.Load(); s != seq || len(eng.imputeIn) < cap(eng.imputeIn) {
+			seq, still = s, 0
+		} else {
+			still++
+		}
 	}
 
 	done := make(chan error, 1)

@@ -15,11 +15,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync/atomic"
 	"time"
 
-	"terids/internal/core"
 	"terids/internal/snapshot"
 	"terids/internal/tuple"
 	"terids/internal/wal"
@@ -67,25 +65,11 @@ func (d *Durable) DeepReach() (int64, bool) {
 // from scratch.
 func (d *Durable) replayBase(from int64) (*snapshot.Checkpoint, error) {
 	walFirst := d.Log.Stats().FirstSeq
-	ckptDir := CheckpointDir(d.cfg.Dir)
-	files, _, err := listCheckpointFiles(ckptDir)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	bySeq := indexBySeq(files)
-	for _, f := range files {
-		if f.seq > from || f.seq < walFirst {
-			continue
-		}
-		c, err := materializeCheckpoint(ckptDir, bySeq, f, 0)
-		if err != nil {
-			d.cfg.Logf("deep replay: skipping unreadable checkpoint %s: %v", f.name, err)
-			continue
-		}
-		return c, nil
-	}
-	if walFirst == 0 {
-		return nil, nil
+	_, c, _, err := newestCheckpoint(CheckpointDir(d.cfg.Dir), walFirst, from, nil, func(f ckptFile, err error) {
+		d.cfg.Logf("deep replay: skipping unreadable checkpoint %s: %v", f.name, err)
+	})
+	if err != nil || c != nil || walFirst == 0 {
+		return c, err
 	}
 	return nil, fmt.Errorf("%w: no retained checkpoint at or below seq %d with WAL coverage (wal starts at %d)",
 		ErrNoReplayCoverage, from, walFirst)
@@ -149,64 +133,26 @@ func (d *Durable) DeepReplay(ctx context.Context, from, upTo, limit int64, emit 
 			stop.Store(true)
 		}
 	}
-	var eng *Engine
-	if ckpt != nil {
-		eng, err = NewFromSnapshot(d.sh, cfg, ckpt)
-	} else {
-		eng, err = New(d.sh, cfg)
-	}
+	eng, err := NewFromSnapshot(d.sh, cfg, ckpt)
 	if err != nil {
 		return err
 	}
 
-	// Regeneration is batched: the cursor only advances past entries whose
-	// batch was submitted, so a restart after an error or stop re-reads
-	// exactly the unsubmitted suffix.
-	const replayBatch = 64
-	cursor := base
-	batch := make([]*tuple.Record, 0, replayBatch)
-	flush := func(upto int64) error {
-		if len(batch) == 0 {
-			return nil
+	submit := func(recs []*tuple.Record) error {
+		if stop.Load() {
+			return errReplayStopped
 		}
-		err := eng.SubmitBatch(batch)
-		batch = batch[:0]
-		if err == nil {
-			cursor = upto
-		}
-		return err
-	}
-	for !stop.Load() {
 		if err := ctx.Err(); err != nil {
-			break
+			return err
 		}
-		frontier := d.Log.Stats().DurableSeq
-		if cursor >= frontier {
-			break
-		}
-		last := cursor
-		err := d.Log.Replay(cursor, func(e wal.Entry) error {
-			if stop.Load() {
-				return errReplayStopped
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			rec, err := core.ArrivalRecord(d.sh.Schema, e.RID, e.Stream, e.TupleSeq, e.EntityID, e.Values)
-			if err != nil {
-				return err
-			}
-			batch = append(batch, rec)
-			last = e.Seq + 1
-			if len(batch) < replayBatch {
-				return nil
-			}
-			return flush(last)
-		})
-		if err == nil {
-			err = flush(last)
-		}
-		if err != nil && !errors.Is(err, errReplayStopped) {
+		return eng.SubmitBatch(recs)
+	}
+	// emit usually stops the replay at the live ring's splice point, and what
+	// was submitted past it is wasted work drained on Close; stop and ctx are
+	// honoured between batches, so the batch is a quarter of recovery's.
+	for cursor := base; !stop.Load() && ctx.Err() == nil && cursor < d.Log.Stats().DurableSeq; {
+		cursor, err = replay(d.sh.Schema, d.Log.Replay, cursor, replayBatch/4, submit)
+		if err != nil && !errors.Is(err, errReplayStopped) { // stopped: the loop condition ends it
 			eng.Close()
 			if errors.Is(err, wal.ErrTruncated) {
 				// The checkpointer truncated the range out from under the
@@ -215,11 +161,6 @@ func (d *Durable) DeepReplay(ctx context.Context, from, upTo, limit int64, emit 
 				return fmt.Errorf("%w: %v", ErrNoReplayCoverage, err)
 			}
 			return fmt.Errorf("engine: deep replay: %w", err)
-		}
-		if err != nil {
-			// Stopped mid-log: the unsubmitted tail is discarded.
-			batch = batch[:0]
-			break
 		}
 	}
 	// Drain: results still in flight fire through the guarded OnResult.

@@ -26,6 +26,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -287,56 +288,126 @@ func indexBySeq(files []ckptFile) map[int64]ckptFile {
 
 // materializeCheckpoint loads the full checkpoint state a file represents:
 // a full snapshot reads directly; a delta resolves its base chain (deltas on
-// deltas, terminating at a full snapshot) and applies the diffs forward.
-func materializeCheckpoint(ckptDir string, bySeq map[int64]ckptFile, f ckptFile, depth int) (*snapshot.Checkpoint, error) {
+// deltas, terminating at a full snapshot) and applies the diffs forward. When
+// the chain reaches the watermark of mem — a state the caller already holds
+// in memory — it resumes from mem instead of reading any further down, and
+// incremental reports that.
+func materializeCheckpoint(ckptDir string, bySeq map[int64]ckptFile, f ckptFile, mem *snapshot.Checkpoint, depth int) (c *snapshot.Checkpoint, incremental bool, err error) {
 	if depth > maxChainDepth {
-		return nil, fmt.Errorf("engine: delta chain for %s deeper than %d", f.name, maxChainDepth)
+		return nil, false, fmt.Errorf("engine: delta chain for %s deeper than %d", f.name, maxChainDepth)
 	}
 	path := filepath.Join(ckptDir, f.name)
 	if f.base < 0 {
-		return snapshot.ReadFile(path)
+		c, err = snapshot.ReadFile(path)
+		return c, false, err
 	}
 	dl, err := snapshot.ReadDeltaFile(path)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if dl.Seq != f.seq || dl.BaseSeq != f.base {
-		return nil, fmt.Errorf("engine: delta %s spans %d→%d, filename says %d→%d",
+		return nil, false, fmt.Errorf("engine: delta %s spans %d→%d, filename says %d→%d",
 			f.name, dl.BaseSeq, dl.Seq, f.base, f.seq)
 	}
-	bf, ok := bySeq[f.base]
-	if !ok || bf.seq >= f.seq {
-		return nil, fmt.Errorf("engine: delta %s: base checkpoint at seq %d missing", f.name, f.base)
+	base, incremental := mem, true
+	if mem == nil || mem.Seq != f.base {
+		bf, ok := bySeq[f.base]
+		if !ok || bf.seq >= f.seq {
+			return nil, false, fmt.Errorf("engine: delta %s: base checkpoint at seq %d missing", f.name, f.base)
+		}
+		if base, incremental, err = materializeCheckpoint(ckptDir, bySeq, bf, mem, depth+1); err != nil {
+			return nil, false, err
+		}
 	}
-	base, err := materializeCheckpoint(ckptDir, bySeq, bf, depth+1)
-	if err != nil {
-		return nil, err
+	c, err = snapshot.ApplyDelta(base, dl)
+	return c, incremental, err
+}
+
+// newestCheckpoint loads the newest readable checkpoint state in ckptDir
+// whose watermark lies in [lo, hi] and returns it with its file's path,
+// materializing delta chains (from mem where they connect to it; see
+// materializeCheckpoint). Corrupt or unreadable states are reported to skip,
+// when set, and the next older one is tried — it still recovers, at the cost
+// of more WAL replay. A nil checkpoint with nil error means no state
+// qualified; a directory that does not exist yet holds none. The bool is
+// materializeCheckpoint's incremental.
+func newestCheckpoint(ckptDir string, lo, hi int64, mem *snapshot.Checkpoint, skip func(ckptFile, error)) (string, *snapshot.Checkpoint, bool, error) {
+	files, _, err := listCheckpointFiles(ckptDir)
+	if err != nil && !os.IsNotExist(err) {
+		return "", nil, false, err
 	}
-	return snapshot.ApplyDelta(base, dl)
+	bySeq := indexBySeq(files)
+	for _, f := range files { // newest first
+		if f.seq > hi {
+			continue
+		}
+		if f.seq < lo {
+			break
+		}
+		c, incremental, err := materializeCheckpoint(ckptDir, bySeq, f, mem, 0)
+		if err == nil {
+			return filepath.Join(ckptDir, f.name), c, incremental, nil
+		}
+		if skip != nil {
+			skip(f, err)
+		}
+	}
+	return "", nil, false, nil
 }
 
 // LatestCheckpoint finds and loads the newest readable checkpoint state
-// under a durability root, materializing delta chains. Corrupt or unreadable
-// states are skipped (the previous one still recovers, at the cost of more
-// WAL replay); a root with no usable snapshot returns ("", nil, nil) —
-// recovery then replays the WAL from zero.
+// under a durability root. A root with no usable snapshot returns
+// ("", nil, nil) — recovery then replays the WAL from zero.
 func LatestCheckpoint(dir string) (string, *snapshot.Checkpoint, error) {
-	files, _, err := listCheckpointFiles(CheckpointDir(dir))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return "", nil, nil
+	path, c, _, err := newestCheckpoint(CheckpointDir(dir), 0, math.MaxInt64, nil, nil)
+	return path, c, err
+}
+
+// replayBatch sizes the SubmitBatch calls of a WAL replay that runs to the
+// end of the log (boot recovery, follower passes): large enough to amortize
+// the per-submission overhead, which is what makes recovery fast.
+const replayBatch = 256
+
+// walReader is the read side of a WAL — Log.Replay, or a Tailer pass: stream
+// every durable entry at or past from, in order, to fn.
+type walReader func(from int64, fn func(wal.Entry) error) error
+
+// replay is the one WAL → pipeline loop, behind boot recovery, deep replay,
+// follower tail passes, and the promotion remainder: it turns the entries
+// read delivers from sequence from on back into arrival records and hands
+// them to submit in batches of n. The returned cursor only advances past
+// entries whose batch submit accepted, so after an error a retry from it
+// re-reads exactly the unsubmitted suffix.
+func replay(schema *tuple.Schema, read walReader, from int64, n int, submit func([]*tuple.Record) error) (next int64, err error) {
+	next, last := from, from
+	var batch []*tuple.Record // grown on demand: an idle tail pass allocates nothing
+	flush := func() error {
+		if len(batch) == 0 {
+			return nil
 		}
-		return "", nil, err
+		err := submit(batch)
+		batch = batch[:0]
+		if err == nil {
+			next = last
+		}
+		return err
 	}
-	bySeq := indexBySeq(files)
-	for _, f := range files {
-		c, err := materializeCheckpoint(CheckpointDir(dir), bySeq, f, 0)
+	err = read(from, func(e wal.Entry) error {
+		rec, err := core.ArrivalRecord(schema, e.RID, e.Stream, e.TupleSeq, e.EntityID, e.Values)
 		if err != nil {
-			continue
+			return err
 		}
-		return filepath.Join(CheckpointDir(dir), f.name), c, nil
+		batch = append(batch, rec)
+		last = e.Seq + 1
+		if len(batch) < n {
+			return nil
+		}
+		return flush()
+	})
+	if err == nil {
+		err = flush()
 	}
-	return "", nil, nil
+	return next, err
 }
 
 // OpenDurable boots a durable engine from a durability directory: restore
@@ -386,69 +457,53 @@ func OpenDurable(sh *core.Shared, cfg Config, d DurableConfig) (*Durable, error)
 
 	engCfg := cfg // pre-WAL copy: deep replay builds throwaway engines from it
 	cfg.WAL = log
-	var eng *Engine
-	if ckpt != nil {
-		eng, err = NewFromSnapshot(sh, cfg, ckpt)
-	} else {
-		eng, err = New(sh, cfg)
-	}
+	eng, err := NewFromSnapshot(sh, cfg, ckpt)
 	if err != nil {
 		return fail(err)
 	}
-
-	dur := &Durable{
-		Eng: eng, Log: log, cfg: d,
-		sh: sh, engCfg: engCfg,
-		recoveredFrom: path, restored: ckpt,
-		lastCkptSeq: -1, lastCkptPath: path,
-		stop: make(chan struct{}),
-	}
-	if !cfg.ObsOff {
-		reg := cfg.Obs
-		if reg == nil {
-			reg = obs.Default()
-		}
-		dur.met = newDurableMetrics(reg)
-	}
-	if ckpt != nil {
-		dur.lastCkptSeq = ckpt.Seq
-	}
-	// Replay the durable suffix through the normal pipeline in batches. The
-	// WAL appends these sequences idempotently (they are already durable), so
-	// SubmitBatch behaves exactly as it did the first time — minus the per-
-	// arrival submission overhead, which is what makes recovery fast.
-	const recoveryBatch = 256
-	batch := make([]*tuple.Record, 0, recoveryBatch)
-	err = log.Replay(watermark, func(e wal.Entry) error {
-		rec, err := core.ArrivalRecord(sh.Schema, e.RID, e.Stream, e.TupleSeq, e.EntityID, e.Values)
-		if err != nil {
-			return err
-		}
-		batch = append(batch, rec)
-		if len(batch) < recoveryBatch {
-			return nil
-		}
-		dur.replayed += int64(len(batch))
-		err = eng.SubmitBatch(batch)
-		batch = batch[:0]
-		return err
-	})
-	if err == nil && len(batch) > 0 {
-		dur.replayed += int64(len(batch))
-		err = eng.SubmitBatch(batch)
-	}
+	// Replay the durable suffix through the normal pipeline. The WAL appends
+	// these sequences idempotently (they are already durable), so SubmitBatch
+	// behaves exactly as it did the first time.
+	next, err := replay(sh.Schema, log.Replay, watermark, replayBatch, eng.SubmitBatch)
 	if err != nil {
 		eng.Close()
 		return fail(fmt.Errorf("engine: wal replay: %w", err))
 	}
-	dur.resumeSeq = watermark + dur.replayed
-	dur.snapshots = dur.countSnapshots()
+	return newDurable(sh, engCfg, d, eng, log, path, path, ckpt, next-watermark), nil
+}
 
+// newDurable wraps an engine that submits through log in its durability
+// handle and starts the background checkpointer — the one constructor behind
+// OpenDurable and Follower.Promote. booted is the checkpoint file the process
+// booted from, reported by Stats; path and ckpt name the checkpoint state the
+// engine descends from (empty and nil for a cold start), which the
+// checkpointer treats as the newest state on disk — the boot file again,
+// unless a follower caught up past it; replayed is how many logged arrivals
+// were re-run to bring the engine to its current watermark.
+func newDurable(sh *core.Shared, engCfg Config, d DurableConfig, eng *Engine, log *wal.Log,
+	booted, path string, ckpt *snapshot.Checkpoint, replayed int64) *Durable {
+	dur := &Durable{
+		Eng: eng, Log: log, cfg: d,
+		sh: sh, engCfg: engCfg,
+		recoveredFrom: booted, restored: ckpt,
+		replayed: replayed, resumeSeq: eng.seq.Load(),
+		lastCkptSeq: -1, lastCkptPath: path,
+		stop: make(chan struct{}),
+	}
+	if ckpt != nil {
+		dur.lastCkptSeq = ckpt.Seq
+	}
+	if !engCfg.ObsOff {
+		dur.met = newDurableMetrics(engCfg.registry())
+	}
+	if files, _, err := listCheckpointFiles(CheckpointDir(d.Dir)); err == nil {
+		dur.snapshots = len(files)
+	}
 	if d.CheckpointInterval > 0 {
 		dur.wg.Add(1)
 		go dur.checkpointLoop()
 	}
-	return dur, nil
+	return dur
 }
 
 // ResumeSeq is the first sequence number the recovered engine will assign to
@@ -634,14 +689,6 @@ func (d *Durable) prune(newest int64) error {
 		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
-}
-
-func (d *Durable) countSnapshots() int {
-	files, _, err := listCheckpointFiles(CheckpointDir(d.cfg.Dir))
-	if err != nil {
-		return 0
-	}
-	return len(files)
 }
 
 // Stats reports WAL and checkpointer health for /stats.

@@ -45,6 +45,7 @@ import (
 	"terids/internal/metrics"
 	"terids/internal/obs"
 	"terids/internal/prune"
+	"terids/internal/snapshot"
 	"terids/internal/stream"
 	"terids/internal/tokens"
 	"terids/internal/tuple"
@@ -104,6 +105,14 @@ type Config struct {
 	// TraceSample, when > 0, records every Nth arrival's full stage timeline
 	// into a bounded ring readable via Traces() (served at GET /trace).
 	TraceSample int
+}
+
+// registry is the metric registry this configuration publishes into.
+func (c *Config) registry() *obs.Registry {
+	if c.Obs != nil {
+		return c.Obs
+	}
+	return obs.Default()
 }
 
 func (c *Config) fill() {
@@ -216,9 +225,9 @@ type Engine struct {
 	// seq is written only under subMu; atomic so Stats() can read it
 	// without queueing behind a backpressured Submit.
 	seq atomic.Int64
-	// startSeq is the first sequence number this engine assigns: 0 for a
-	// fresh engine, the checkpoint watermark after NewFromSnapshot. The
-	// router's and merger's reorder buffers release from it.
+	// startSeq is the first sequence number the current pipeline handles: 0
+	// at genesis, the checkpoint watermark after an install. The router's
+	// and merger's reorder buffers release from it.
 	startSeq int64
 
 	// stateMu guards the fields a Rebalance swaps out — shards, shardCh,
@@ -314,20 +323,33 @@ type Engine struct {
 	drained *sync.Cond
 }
 
-// New builds and starts the engine over pre-computed Shared state.
+// New builds and starts a fresh engine over pre-computed Shared state — the
+// genesis case of NewFromSnapshot.
 func New(sh *core.Shared, cfg Config) (*Engine, error) {
-	e, err := newEngine(sh, cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.start()
-	e.startMonitor()
-	return e, nil
+	return NewFromSnapshot(sh, cfg, nil)
 }
 
-// newEngine builds the engine — channels, windows, shard grids — without
-// launching the pipeline, so NewFromSnapshot can load state first.
-func newEngine(sh *core.Shared, cfg Config) (*Engine, error) {
+// NewFromSnapshot builds and starts an engine holding checkpoint c's state —
+// taken at any shard count — resuming at its watermark; a nil c means
+// genesis, a fresh engine at sequence zero. Residency is re-derived from each
+// resident's recomputed profile under the new configuration's K', so
+// restoring at a different shard count reshards for free; output remains
+// byte-identical to an uninterrupted run because resolution never depends on
+// where a tuple resides.
+//
+// Layout adoption: a checkpoint taken after a rebalance carries its slot
+// table (snapshot format v2). When the configuration auto-sizes the shard
+// count (Shards == 0) the snapshot's K and table are adopted wholesale, so a
+// rebalanced deployment recovers balanced; an explicit Shards equal to the
+// snapshot's K adopts the table too; any other K falls back to the default
+// modulo layout at the requested K — always safe, placement being free.
+//
+//terids:deterministic
+func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engine, error) {
+	carried, ok := checkpointLayout(c)
+	if ok && cfg.Shards == 0 {
+		cfg.Shards = carried.K
+	}
 	autoImpute := cfg.ImputeWorkers <= 0
 	cfg.fill()
 	step, err := core.NewStep(sh, cfg.Core)
@@ -335,27 +357,27 @@ func newEngine(sh *core.Shared, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	cfg.Core = step.Config()
+	if c != nil {
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+		if err := core.CheckpointCompatible(sh, cfg.Core, c); err != nil {
+			return nil, err
+		}
+	}
+	// The parts that outlive every state swap: the operator step, pools,
+	// instrumentation, and the interned keyword tables. Windows, shard grids,
+	// and stage channels are install's job.
 	e := &Engine{
 		step:       step,
 		cfg:        cfg,
 		autoImpute: autoImpute,
-		imputeIn:   make(chan []*item, cfg.QueueDepth),
-		imputedOut: make(chan []*item, cfg.QueueDepth),
-		hdrCh:      make(chan []header, cfg.QueueDepth),
-		partials:   make(chan partial, cfg.QueueDepth*cfg.Shards),
-		results:    core.NewResultSet(),
-		live:       make(map[string]int),
-		layout:     DefaultLayout(cfg.Shards).Slots,
 		slotWeight: make([]atomic.Int64, LayoutSlots),
 	}
 	e.drained = sync.NewCond(&e.resultsMu)
 	e.ctx, e.cancel = context.WithCancel(context.Background())
 	if !cfg.ObsOff {
-		reg := cfg.Obs
-		if reg == nil {
-			reg = obs.Default()
-		}
-		e.met = newEngineMetrics(reg)
+		e.met = newEngineMetrics(cfg.registry())
 		if cfg.TraceSample > 0 {
 			e.traces = obs.NewRing[Trace](traceRingCap)
 		}
@@ -380,37 +402,17 @@ func newEngine(sh *core.Shared, cfg Config) (*Engine, error) {
 	for i, kw := range e.kwIDs {
 		e.kwSlots[i] = slotOf(tokens.Text(kw))
 	}
-	e.internHomes()
 
-	cc := cfg.Core
-	if cc.TimeSpan > 0 {
-		e.timeWins = make([]*stream.TimeWindow, cc.Streams)
-		for i := range e.timeWins {
-			tw, err := stream.NewTimeWindow(cc.TimeSpan)
-			if err != nil {
-				return nil, err
-			}
-			e.timeWins[i] = tw
-		}
-	} else {
-		mw, err := stream.NewMultiWindow(cc.Streams, cc.WindowSize)
-		if err != nil {
-			return nil, err
-		}
-		e.windows = mw
+	l := DefaultLayout(cfg.Shards)
+	if ok && carried.K == cfg.Shards {
+		l = carried
 	}
-
-	e.shardCh = make([]chan shardCmd, cfg.Shards)
-	e.shardScratch = make([][]shardItem, cfg.Shards)
-	e.shards = make([]*shard, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		g, err := step.NewGrid()
-		if err != nil {
-			return nil, err
-		}
-		e.shardCh[i] = make(chan shardCmd, cfg.QueueDepth)
-		e.shards[i] = newShard(i, e, g)
+	if err := e.install(l, c); err != nil {
+		e.cancel()
+		return nil, err
 	}
+	e.start()
+	e.startMonitor()
 	return e, nil
 }
 
@@ -774,8 +776,8 @@ func (e *Engine) router() {
 		}
 		close(e.hdrCh)
 	}()
-	// live (owned by this goroutine from here on; seeded by newEngine or a
-	// snapshot restore) tracks resident RIDs across all shards so
+	// live (owned by this goroutine from here on; seeded by install) tracks
+	// resident RIDs across all shards so
 	// duplicates are rejected per-tuple instead of failing a shard's grid
 	// insert.
 	win := seqWindow[*item]{next: e.startSeq}

@@ -23,15 +23,14 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"terids/internal/core"
-	"terids/internal/obs"
 	"terids/internal/snapshot"
-	"terids/internal/tuple"
 	"terids/internal/wal"
 )
 
@@ -110,11 +109,11 @@ type Follower struct {
 	incCatchups atomic.Int64
 
 	// base is the in-memory image of the last checkpoint state this
-	// follower applied — the anchor incremental delta chains connect to.
-	// pendingBatch is the tail-apply batch under construction. Both are
-	// owned by the tail loop (and by Promote after the loop stops).
-	base         *snapshot.Checkpoint
-	pendingBatch []*tuple.Record
+	// follower applied — the anchor incremental delta chains connect to —
+	// and basePath the file it came from. Both are owned by the tail loop
+	// (and by Promote after the loop stops).
+	base     *snapshot.Checkpoint
+	basePath string
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -145,25 +144,18 @@ func OpenFollower(sh *core.Shared, cfg Config, fc FollowerConfig) (*Follower, er
 	if err != nil {
 		return nil, err
 	}
-	var eng *Engine
-	if ckpt != nil {
-		eng, err = NewFromSnapshot(sh, cfg, ckpt)
-	} else {
-		eng, err = New(sh, cfg)
-	}
+	eng, err := NewFromSnapshot(sh, cfg, ckpt)
 	if err != nil {
 		return nil, err
 	}
 
 	f := &Follower{
 		Eng: eng, cfg: fc, sh: sh, engCfg: cfg,
-		tailer: tailer, recoveredFrom: path, base: ckpt,
+		tailer: tailer, recoveredFrom: path, base: ckpt, basePath: path,
 		stop: make(chan struct{}),
 	}
-	if ckpt != nil {
-		f.applied.Store(ckpt.Seq)
-		f.frontier.Store(ckpt.Seq)
-	}
+	f.applied.Store(eng.seq.Load())
+	f.frontier.Store(eng.seq.Load())
 	eng.jr.Record("follower_start", "follower replica tailing writer WAL",
 		map[string]any{"dir": fc.Dir, "from_seq": f.applied.Load(), "checkpoint": path})
 	f.wg.Add(1)
@@ -184,7 +176,7 @@ func (f *Follower) tailLoop() {
 			return
 		case <-tick.C:
 		}
-		if err := f.pass(); err != nil {
+		if err := f.pass(f.tail); err != nil {
 			if errors.Is(err, ErrClosed) {
 				return
 			}
@@ -193,63 +185,32 @@ func (f *Follower) tailLoop() {
 	}
 }
 
-// pass runs one tail iteration: stream every new durable arrival through
-// the pipeline, and fall back to a checkpoint catch-up when the WAL was
-// truncated below the cursor.
-//
-//terids:deterministic
-func (f *Follower) pass() error {
+// tail is the follower's steady-state WAL reader: one read-only scan of the
+// writer's segments past the cursor (see pass).
+func (f *Follower) tail(from int64, fn func(wal.Entry) error) error {
 	if f.cfg.beforePass != nil {
 		f.cfg.beforePass()
 	}
-	from := f.applied.Load()
-	next, err := f.tailer.Replay(from, f.submitEntries())
-	if serr := f.flushPending(); serr != nil {
-		return serr
+	_, err := f.tailer.Replay(from, fn)
+	return err
+}
+
+// pass runs one apply iteration over read — the tailer while following, the
+// sealed log during promotion: stream every durable arrival past the cursor
+// through the pipeline, and fall back to a checkpoint catch-up when the WAL
+// was truncated below the cursor.
+//
+//terids:deterministic
+func (f *Follower) pass(read walReader) error {
+	next, err := replay(f.sh.Schema, read, f.applied.Load(), replayBatch, f.Eng.SubmitBatch)
+	f.applied.Store(next)
+	if errors.Is(err, wal.ErrTruncated) {
+		return f.catchUp()
 	}
-	if next > f.applied.Load() {
-		f.applied.Store(next)
-	}
-	switch {
-	case err == nil:
+	if err == nil {
 		f.frontier.Store(next)
 		f.passes.Add(1)
-		return nil
-	case errors.Is(err, wal.ErrTruncated):
-		return f.catchUp()
-	default:
-		return err
 	}
-}
-
-// submitEntries returns the per-entry callback: it batches arrivals and
-// submits full batches through the pipeline. The trailing partial batch is
-// flushed by flushPending after the pass.
-func (f *Follower) submitEntries() func(wal.Entry) error {
-	return func(e wal.Entry) error {
-		rec, err := core.ArrivalRecord(f.sh.Schema, e.RID, e.Stream, e.TupleSeq, e.EntityID, e.Values)
-		if err != nil {
-			return err
-		}
-		f.pendingBatch = append(f.pendingBatch, rec)
-		if len(f.pendingBatch) < followerBatch {
-			return nil
-		}
-		return f.flushPending()
-	}
-}
-
-// followerBatch sizes the tail-apply batches — same amortization as boot
-// replay.
-const followerBatch = 256
-
-// flushPending submits the batch under construction.
-func (f *Follower) flushPending() error {
-	if len(f.pendingBatch) == 0 {
-		return nil
-	}
-	err := f.Eng.SubmitBatch(f.pendingBatch)
-	f.pendingBatch = f.pendingBatch[:0]
 	return err
 }
 
@@ -259,82 +220,39 @@ func (f *Follower) flushPending() error {
 // the deltas are read and applied (snapshot.ApplyDelta forward from the
 // in-memory base) — catch-up cost proportional to the change, never a
 // cold rebuild. A chain that does not connect falls back to full
-// materialization; the engine swap is the same either way.
+// materialization; the engine swap is the same either way. Only states at
+// or ahead of the cursor qualify: with nothing newer on disk, WAL retention
+// must cover the follower on the next pass.
 func (f *Follower) catchUp() error {
-	ckptDir := CheckpointDir(f.cfg.Dir)
-	files, _, err := listCheckpointFiles(ckptDir)
+	applied := f.applied.Load()
+	var lastErr error
+	path, c, incremental, err := newestCheckpoint(CheckpointDir(f.cfg.Dir), applied, math.MaxInt64, f.base,
+		func(_ ckptFile, err error) { lastErr = err })
 	if err != nil {
 		return err
 	}
-	bySeq := indexBySeq(files)
-	applied := f.applied.Load()
-	var lastErr error
-	for _, file := range files { // newest first
-		if file.seq < applied {
-			break // older than what we already hold: WAL retention must cover us next pass
+	if c == nil {
+		if lastErr != nil {
+			return fmt.Errorf("engine: follower catch-up: %w", lastErr)
 		}
-		c, incremental, err := f.materialize(ckptDir, bySeq, file)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := f.Eng.ApplyCheckpoint(c); err != nil {
-			return err
-		}
-		f.base = c
-		f.applied.Store(c.Seq)
-		if c.Seq > f.frontier.Load() {
-			f.frontier.Store(c.Seq)
-		}
-		f.catchups.Add(1)
-		if incremental {
-			f.incCatchups.Add(1)
-		}
-		f.Eng.jr.Record("follower_catchup", "WAL truncated below cursor; advanced to checkpoint",
-			map[string]any{"seq": c.Seq, "incremental": incremental, "file": file.name})
-		f.cfg.Logf("follower: caught up to checkpoint %s (seq %d, incremental=%v)", file.name, c.Seq, incremental)
-		return nil
+		return fmt.Errorf("engine: follower catch-up: wal truncated below seq %d and no newer checkpoint found", applied)
 	}
-	if lastErr != nil {
-		return fmt.Errorf("engine: follower catch-up: %w", lastErr)
+	if err := f.Eng.ApplyCheckpoint(c); err != nil {
+		return err
 	}
-	return fmt.Errorf("engine: follower catch-up: wal truncated below seq %d and no newer checkpoint found", applied)
-}
-
-// materialize loads the full state file represents, preferring the
-// incremental path: when the file's delta chain bottoms out at the
-// in-memory base's watermark, the deltas are applied forward from that
-// base without touching any full snapshot on disk.
-func (f *Follower) materialize(ckptDir string, bySeq map[int64]ckptFile, file ckptFile) (*snapshot.Checkpoint, bool, error) {
-	if f.base != nil && file.base >= 0 {
-		var chain []ckptFile // newest → oldest
-		cur := file
-		for len(chain) <= maxChainDepth && cur.base >= 0 {
-			chain = append(chain, cur)
-			if cur.base == f.base.Seq {
-				c := f.base
-				for i := len(chain) - 1; i >= 0; i-- {
-					dl, err := snapshot.ReadDeltaFile(filepath.Join(ckptDir, chain[i].name))
-					if err != nil {
-						return nil, false, err
-					}
-					nc, err := snapshot.ApplyDelta(c, dl)
-					if err != nil {
-						return nil, false, err
-					}
-					c = nc
-				}
-				return c, true, nil
-			}
-			bf, ok := bySeq[cur.base]
-			if !ok || bf.seq >= cur.seq {
-				break
-			}
-			cur = bf
-		}
+	f.base, f.basePath = c, path
+	f.applied.Store(c.Seq)
+	if c.Seq > f.frontier.Load() {
+		f.frontier.Store(c.Seq)
 	}
-	c, err := materializeCheckpoint(ckptDir, bySeq, file, 0)
-	return c, false, err
+	f.catchups.Add(1)
+	if incremental {
+		f.incCatchups.Add(1)
+	}
+	f.Eng.jr.Record("follower_catchup", "WAL truncated below cursor; advanced to checkpoint",
+		map[string]any{"seq": c.Seq, "incremental": incremental, "file": filepath.Base(path)})
+	f.cfg.Logf("follower: caught up to checkpoint %s (seq %d, incremental=%v)", filepath.Base(path), c.Seq, incremental)
+	return nil
 }
 
 // Lag reports how many durable writer arrivals the follower's merged
@@ -409,68 +327,25 @@ func (f *Follower) Promote() (*Durable, error) {
 		return nil, err
 	}
 	// Drain the remainder: everything durable past the applied cursor runs
-	// through the pipeline now, exactly as a tail pass would have. A
-	// truncation race here is resolved by one checkpoint catch-up.
-	for attempt := 0; ; attempt++ {
-		err := f.replayRemainder(log)
-		if err == nil {
-			break
+	// through the pipeline now, exactly as a tail pass would have, read via
+	// the just-opened log (the directory is sealed: we hold the writer lock
+	// and nothing else appends). A truncation race costs one extra pass — the
+	// first ends in a checkpoint catch-up, the second covers the rest; a
+	// cursor still short after that is refused by AttachWAL.
+	for attempt := 0; attempt < 2 && f.applied.Load() < log.Stats().NextSeq; attempt++ {
+		if err := f.pass(log.Replay); err != nil {
+			return fail(fmt.Errorf("engine: promote: %w", err))
 		}
-		if errors.Is(err, wal.ErrTruncated) && attempt == 0 {
-			if cerr := f.catchUp(); cerr == nil {
-				continue
-			}
-		}
-		return fail(fmt.Errorf("engine: promote: %w", err))
 	}
 	if err := f.Eng.AttachWAL(log); err != nil {
 		return fail(err)
 	}
-
-	d := &Durable{
-		Eng: f.Eng, Log: log, cfg: dcfg,
-		sh: f.sh, engCfg: f.engCfg,
-		recoveredFrom: f.recoveredFrom,
-		restored:      f.base,
-		resumeSeq:     f.applied.Load(),
-		lastCkptSeq:   -1,
-		stop:          make(chan struct{}),
-	}
-	if !f.engCfg.ObsOff {
-		reg := f.engCfg.Obs
-		if reg == nil {
-			reg = obs.Default()
-		}
-		d.met = newDurableMetrics(reg)
-	}
-	d.snapshots = d.countSnapshots()
-	if dcfg.CheckpointInterval > 0 {
-		d.wg.Add(1)
-		go d.checkpointLoop()
-	}
+	d := newDurable(f.sh, f.engCfg, dcfg, f.Eng, log, f.recoveredFrom, f.basePath, f.base, 0)
 	f.Eng.jr.Record("follower_promote", "warm standby took over as writer",
 		map[string]any{"dir": f.cfg.Dir, "resume_seq": d.resumeSeq, "catchups": f.catchups.Load()})
 	f.cfg.Logf("follower: promoted to writer at seq %d", d.resumeSeq)
 	f.promoted = d
 	return d, nil
-}
-
-// replayRemainder runs every logged arrival past the applied cursor
-// through the pipeline, via the just-opened log (the directory is sealed:
-// we hold the writer lock and nothing else appends).
-func (f *Follower) replayRemainder(log *wal.Log) error {
-	from := f.applied.Load()
-	err := log.Replay(from, f.submitEntries())
-	if serr := f.flushPending(); serr != nil {
-		return serr
-	}
-	if err != nil {
-		return err
-	}
-	st := log.Stats()
-	f.applied.Store(st.NextSeq)
-	f.frontier.Store(st.NextSeq)
-	return nil
 }
 
 // resumeTailing restarts the tail loop after a failed promotion.

@@ -200,8 +200,10 @@ func TestFollowerLiveDeltaCatchUp(t *testing.T) {
 	}
 
 	gate.Unlock()
+	// ApplyCheckpoint publishes the new watermark before catchUp counts the
+	// catch-up, so the counter is part of the awaited state.
 	waitUntil(t, "delta-chain catch-up onto the live engine", func() bool {
-		return fol.Eng.Completed() >= int64(q3) && fol.Lag() == 0
+		return fol.Stats().Catchups >= 1 && fol.Eng.Completed() >= int64(q3) && fol.Lag() == 0
 	})
 	st := fol.Stats()
 	if st.Catchups < 1 {
@@ -241,6 +243,23 @@ func TestFollowerLiveDeltaCatchUp(t *testing.T) {
 		t.Fatal("live delta catch-up diverged from cold OpenDurable restore")
 	}
 	if err := cold.Close(false); err != nil {
+		t.Fatal(err)
+	}
+
+	// Promotion after a catch-up: both handles keep naming the checkpoint the
+	// process booted from, while the promoted writer descends from the state
+	// the catch-up installed.
+	p, err := fol.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.Stats().RecoveredFrom, fol.Stats().RecoveredFrom; got != want || want == "" {
+		t.Fatalf("promoted writer reports recovered_from %q, its follower %q", got, want)
+	}
+	if got := p.RestoredCheckpoint().Seq; got != int64(q3) {
+		t.Fatalf("promoted writer descends from checkpoint seq %d, want the catch-up's %d", got, q3)
+	}
+	if err := p.Close(false); err != nil {
 		t.Fatal(err)
 	}
 	if err := fol.Close(); err != nil {

@@ -118,54 +118,53 @@ func (e *Engine) merger() {
 
 // finalize emits one in-order arrival: expired pairs leave the entity set,
 // merged pairs enter it in candidate-arrival order — exactly the grid
-// insertion-ordinal order core.Processor.Advance returns.
+// insertion-ordinal order core.Processor.Advance returns. Completion is
+// published last, after the trace is retained and OnResult has returned, so
+// a barrier that has seen completed reach the watermark (Flush, Checkpoint)
+// has seen every effect of every arrival below it.
 func (e *Engine) finalize(p *pending) {
-	if p.hdr.skip {
+	res := Result{Seq: p.hdr.seq, RID: p.hdr.rid, Rejected: p.hdr.skip}
+	if !res.Rejected {
+		slices.SortFunc(p.pairs, func(a, b shardPair) int {
+			return cmp.Compare(a.candSeq, b.candSeq)
+		})
+		pairs := make([]core.Pair, 0, len(p.pairs))
+		last := int64(-1)
+		for _, sp := range p.pairs {
+			if sp.candSeq == last {
+				continue // broadcast-resident candidate emitted by several shards
+			}
+			last = sp.candSeq
+			pairs = append(pairs, sp.pair)
+		}
 		e.resultsMu.Lock()
-		e.completed++
-		e.rejected++
-		e.drained.Broadcast()
+		for _, rid := range p.hdr.expired {
+			e.results.RemoveRID(rid)
+		}
+		for _, pr := range pairs {
+			e.results.Add(pr)
+		}
 		e.resultsMu.Unlock()
-		if m := e.met; m != nil {
-			m.rejected.Inc()
-			m.mergeHold.ObserveSince(p.arrived)
-		}
-		e.completeTrace(p, 0)
-		if e.cfg.OnResult != nil {
-			e.cfg.OnResult(Result{Seq: p.hdr.seq, RID: p.hdr.rid, Rejected: true})
-		}
-		return
+		e.acc.Add(metrics.Totals{Tuples: 1, Pairs: int64(len(pairs))})
+		res.Expired, res.Pairs = p.hdr.expired, pairs
 	}
-	slices.SortFunc(p.pairs, func(a, b shardPair) int {
-		return cmp.Compare(a.candSeq, b.candSeq)
-	})
-	pairs := make([]core.Pair, 0, len(p.pairs))
-	last := int64(-1)
-	for _, sp := range p.pairs {
-		if sp.candSeq == last {
-			continue // broadcast-resident candidate emitted by several shards
-		}
-		last = sp.candSeq
-		pairs = append(pairs, sp.pair)
-	}
-	e.resultsMu.Lock()
-	for _, rid := range p.hdr.expired {
-		e.results.RemoveRID(rid)
-	}
-	for _, pr := range pairs {
-		e.results.Add(pr)
-	}
-	e.completed++
-	e.drained.Broadcast()
-	e.resultsMu.Unlock()
-	e.acc.Add(metrics.Totals{Tuples: 1, Pairs: int64(len(pairs))})
 	if m := e.met; m != nil {
+		if res.Rejected {
+			m.rejected.Inc()
+		}
 		m.mergeHold.ObserveSince(p.arrived)
 	}
-	e.completeTrace(p, len(pairs))
+	e.completeTrace(p, len(res.Pairs))
 	if e.cfg.OnResult != nil {
-		e.cfg.OnResult(Result{Seq: p.hdr.seq, RID: p.hdr.rid, Expired: p.hdr.expired, Pairs: pairs})
+		e.cfg.OnResult(res)
 	}
+	e.resultsMu.Lock()
+	e.completed++
+	if res.Rejected {
+		e.rejected++
+	}
+	e.drained.Broadcast()
+	e.resultsMu.Unlock()
 }
 
 // completeTrace finishes a sampled arrival's timeline and retains it in the

@@ -25,10 +25,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"terids/internal/snapshot"
-	"terids/internal/stream"
-	"terids/internal/tuple"
 )
 
 // LayoutSlots is the size of the topic-hash slot table. 256 slots gives the
@@ -278,13 +274,12 @@ func projectedImbalance(weights []int64, l Layout) float64 {
 	return float64(max) * float64(l.K) / float64(total)
 }
 
-// Rebalance performs an online layout change on the running engine: barrier
-// checkpoint, rebuild the router/window/shard state under l (which may
-// change K), restore the residents, and resume — all without losing or
-// duplicating a single result. Submissions block for the duration; the WAL,
-// counters, result set, and OnResult sink carry over untouched. It must not
-// be called from OnResult (like Checkpoint, it waits for the merger to
-// drain).
+// Rebalance performs an online layout change on the running engine: a swap
+// (see snapshot.go) that re-installs the engine's own barrier checkpoint
+// under l, which may change K — all without losing or duplicating a single
+// result. Submissions block for the duration; the WAL, counters, and
+// OnResult sink carry over. It must not be called from OnResult (like
+// Checkpoint, it waits for the merger to drain).
 func (e *Engine) Rebalance(l Layout) error {
 	return e.rebalance(l, trigManual)
 }
@@ -311,13 +306,6 @@ func (e *Engine) rebalance(l Layout, trig rebTrigger) (err error) {
 	if e.closed {
 		return ErrClosed
 	}
-	if err := e.Err(); err != nil {
-		return err
-	}
-	// The pause window starts here: submissions are locked out until the
-	// rebuilt pipeline restarts, and /readyz reports not-ready throughout.
-	e.rebalancing.Store(true)
-	defer e.rebalancing.Store(false)
 	if trig != trigManual {
 		// The candidate layout was computed before this lock. If a manual
 		// rebalance won the race (different K now) or the skew already
@@ -344,37 +332,16 @@ func (e *Engine) rebalance(l Layout, trig rebTrigger) (err error) {
 		e.reb.lastErr = err
 		e.reb.mu.Unlock()
 	}()
-	// Durable-path submitters between WAL reservation and injection carry
-	// already-assigned sequence numbers; they must enter the pipeline before
-	// the barrier can drain to the watermark.
-	e.inflight.Wait()
 	imbBefore := imbalanceOf(e.shards)
 	oldK := e.cfg.Shards
 	e.jr.Record("rebalance_start", "online rebalance: barrier checkpoint and rebuild",
 		map[string]any{"trigger": trig.String(), "k_from": oldK, "k_to": l.K, "imbalance": imbBefore})
-	c, err := e.checkpointLocked()
+	// The pause window: the engine's own state, captured at the barrier, is
+	// re-installed under the new layout.
+	c, err := e.swap(l, nil)
 	if err != nil {
 		return err
 	}
-	// The pipeline is idle at the barrier; stop it. Closing intake cascades
-	// the shutdown left to right exactly as Close does, and the merger exits
-	// once every stage has drained.
-	close(e.imputeIn)
-	e.mergeWG.Wait()
-	if err := e.Err(); err != nil {
-		return err
-	}
-	e.stateMu.Lock()
-	_, err = e.rebuild(l, c)
-	e.stateMu.Unlock()
-	if err != nil {
-		// The old pipeline is gone and the new one never started: the engine
-		// is unusable. Fail it so submitters and Checkpoint see the error.
-		e.closed = true
-		e.fail(err)
-		return err
-	}
-	e.start()
 	//lint:ignore nodeterm pause-duration metric; never touches emitted bytes
 	took := time.Since(start)
 	if m := e.met; m != nil {
@@ -407,72 +374,6 @@ func (e *Engine) rebalance(l Layout, trig rebTrigger) (err error) {
 // (submissions locked out, pipeline torn down or rebuilding). Serving
 // layers surface it through /readyz.
 func (e *Engine) Rebalancing() bool { return e.rebalancing.Load() }
-
-// rebuild replaces the routing/window/shard state under layout l and
-// reloads the checkpointed residents, returning the restored resident
-// records (a follower catch-up needs them to rebuild the result set;
-// rebalance discards them — its results are already consistent at the
-// watermark). Caller holds subMu and stateMu with every pipeline goroutine
-// stopped; the result set and progress counters are left untouched.
-func (e *Engine) rebuild(l Layout, c *snapshot.Checkpoint) ([]*tuple.Record, error) {
-	// Every fallible construction happens into locals first: a failure here
-	// must not publish half-built state (a shards slice with nil entries
-	// would panic a concurrent Stats/Imbalance reader).
-	cc := e.cfg.Core
-	var timeWins []*stream.TimeWindow
-	var windows *stream.MultiWindow
-	if cc.TimeSpan > 0 {
-		timeWins = make([]*stream.TimeWindow, cc.Streams)
-		for i := range timeWins {
-			tw, err := stream.NewTimeWindow(cc.TimeSpan)
-			if err != nil {
-				return nil, err
-			}
-			timeWins[i] = tw
-		}
-	} else {
-		mw, err := stream.NewMultiWindow(cc.Streams, cc.WindowSize)
-		if err != nil {
-			return nil, err
-		}
-		windows = mw
-	}
-	shardCh := make([]chan shardCmd, l.K)
-	shards := make([]*shard, l.K)
-	for i := 0; i < l.K; i++ {
-		g, err := e.step.NewGrid()
-		if err != nil {
-			return nil, err
-		}
-		shardCh[i] = make(chan shardCmd, e.cfg.QueueDepth)
-		shards[i] = newShard(i, e, g)
-	}
-
-	e.cfg.Shards = l.K
-	if e.autoImpute {
-		// The impute pool was auto-sized to Shards at construction; keep it
-		// in lockstep so a grown K gets a grown imputation stage too. start()
-		// reads the new value when it relaunches the pipeline.
-		e.cfg.ImputeWorkers = l.K
-	}
-	e.layout = l.Slots
-	// Interned home tables are per-K; rebuild them before loadResidents
-	// re-homes the checkpointed residents.
-	e.internHomes()
-	e.imputeIn = make(chan []*item, e.cfg.QueueDepth)
-	e.imputedOut = make(chan []*item, e.cfg.QueueDepth)
-	e.hdrCh = make(chan []header, e.cfg.QueueDepth)
-	e.partials = make(chan partial, e.cfg.QueueDepth*l.K)
-	e.shardScratch = make([][]shardItem, l.K)
-	e.timeWins, e.windows = timeWins, windows
-	e.live = make(map[string]int)
-	for i := range e.slotWeight {
-		e.slotWeight[i].Store(0)
-	}
-	e.shardCh, e.shards = shardCh, shards
-	e.startSeq = c.Seq
-	return e.loadResidents(c)
-}
 
 // startMonitor launches the skew monitor when the config enables it. Called
 // once per engine (New / NewFromSnapshot), never by Rebalance.

@@ -8,8 +8,35 @@ import (
 	"terids/internal/core"
 	"terids/internal/grid"
 	"terids/internal/snapshot"
+	"terids/internal/stream"
 	"terids/internal/tuple"
 )
+
+// Flush is the barrier without the capture: it pauses intake and returns
+// once every arrival submitted before the call is fully processed — entity
+// set updated, trace retained, OnResult returned — or the pipeline has
+// failed. Like Checkpoint it must not be called from OnResult.
+func (e *Engine) Flush() error {
+	e.subMu.Lock()
+	defer e.subMu.Unlock()
+	return e.flushLocked()
+}
+
+// flushLocked drains the pipeline to the current watermark. Caller holds
+// subMu (so the watermark cannot advance). Submitters between sequence
+// assignment and injection are waited for first: their sequence numbers are
+// already assigned, so the merger cannot reach the watermark — and intake
+// must not be closed under them — until they have landed.
+func (e *Engine) flushLocked() error {
+	e.inflight.Wait()
+	target := e.seq.Load()
+	e.resultsMu.Lock()
+	for e.completed < target && e.Err() == nil {
+		e.drained.Wait()
+	}
+	e.resultsMu.Unlock()
+	return e.Err()
+}
 
 // Checkpoint is the engine's barrier snapshot: it pauses intake (new
 // submissions block on the submission lock), lets the impute pool, router,
@@ -21,7 +48,7 @@ import (
 // State gathering is race-free without extra locks on the shard/router state
 // because of the pipeline's happens-before chain: each stage's writes for
 // sequence n precede its channel send for n, the merger's receive precedes
-// its completed-counter update under resultsMu, and Checkpoint reads the
+// its completed-counter update under resultsMu, and the barrier reads the
 // counter under resultsMu before touching any stage state.
 //
 // The returned checkpoint can be restored at any shard count K' via
@@ -32,21 +59,16 @@ func (e *Engine) Checkpoint() (*snapshot.Checkpoint, error) {
 	return e.checkpointLocked()
 }
 
-// checkpointLocked is the barrier body, shared by Checkpoint and Rebalance.
-// Caller holds subMu (so the watermark cannot advance).
+// checkpointLocked is the barrier plus the state capture, shared by
+// Checkpoint and swap. Caller holds subMu.
 //
 //terids:deterministic
 func (e *Engine) checkpointLocked() (*snapshot.Checkpoint, error) {
-	target := e.seq.Load()
-
-	e.resultsMu.Lock()
-	defer e.resultsMu.Unlock()
-	for e.completed < target && e.Err() == nil {
-		e.drained.Wait()
-	}
-	if err := e.Err(); err != nil {
+	if err := e.flushLocked(); err != nil {
 		return nil, fmt.Errorf("engine: checkpoint aborted, pipeline failed: %w", err)
 	}
+	e.resultsMu.RLock()
+	defer e.resultsMu.RUnlock()
 
 	// Arrival sequences live in the shards' residency maps (broadcast
 	// residents appear in several shards with the same sequence).
@@ -74,7 +96,7 @@ func (e *Engine) checkpointLocked() (*snapshot.Checkpoint, error) {
 	sort.Slice(recs, func(i, j int) bool { return seqOf[recs[i].RID] < seqOf[recs[j].RID] })
 
 	c := core.NewCheckpointHeader(e.step.Shared(), e.cfg.Core)
-	c.Seq = target
+	c.Seq = e.seq.Load()
 	c.Completed = e.completed
 	c.Rejected = e.rejected
 	c.Shards = e.cfg.Shards
@@ -91,77 +113,98 @@ func (e *Engine) checkpointLocked() (*snapshot.Checkpoint, error) {
 	return c, nil
 }
 
-// NewFromSnapshot rebuilds an engine from a checkpoint taken at any shard
-// count and resumes at its watermark. Residency is re-derived from each
-// resident's recomputed profile under the new configuration's K', so
-// restoring at a different shard count reshards for free; output remains
-// byte-identical to an uninterrupted run because resolution never depends on
-// where a tuple resides.
-//
-// Layout adoption: a checkpoint taken after a rebalance carries its slot
-// table (snapshot format v2). When the configuration auto-sizes the shard
-// count (Shards == 0) the snapshot's K and table are adopted wholesale, so a
-// rebalanced deployment recovers balanced; an explicit Shards equal to the
-// snapshot's K adopts the table too; any other K falls back to the default
-// modulo layout at the requested K — always safe, placement being free.
-//
-//terids:deterministic
-func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engine, error) {
-	if cfg.Shards == 0 && c.Shards >= 1 && c.Shards <= maxAdoptShards && len(c.SlotTable) == LayoutSlots {
-		cfg.Shards = c.Shards
+// checkpointLayout returns the shard layout checkpoint c carries, if it
+// carries a usable one: format v2+, a shard count within the adoption cap,
+// and a well-formed slot table.
+func checkpointLayout(c *snapshot.Checkpoint) (Layout, bool) {
+	if c == nil || c.Shards < 1 || c.Shards > maxAdoptShards || len(c.SlotTable) != LayoutSlots {
+		return Layout{}, false
 	}
-	e, err := newEngine(sh, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := core.CheckpointCompatible(sh, e.cfg.Core, c); err != nil {
-		return nil, err
-	}
-	if len(c.SlotTable) == LayoutSlots && c.Shards == e.cfg.Shards {
-		if l, err := (Layout{K: c.Shards, Slots: c.SlotTable}).normalized(); err == nil {
-			e.layout = l.Slots
-		}
-	}
-	recs, err := e.loadResidents(c)
-	if err != nil {
-		return nil, err
-	}
-	if err := core.RestoreResults(e.results, recs, c); err != nil {
-		return nil, err
-	}
-	e.startSeq = c.Seq
-	e.seq.Store(c.Seq)
-	e.completed = c.Completed
-	e.rejected = c.Rejected
-	e.start()
-	e.startMonitor()
-	return e, nil
+	l, err := Layout{K: c.Shards, Slots: c.SlotTable}.normalized()
+	return l, err == nil
 }
 
-// loadResidents replays the checkpoint's residents into the windows, the
-// live set, and the shard grids under the engine's current layout — the
-// restore body shared by NewFromSnapshot and Rebalance. The engine must be
-// freshly built (or rebuilt) and not yet started.
+// install is the one place engine state comes into being: it builds the
+// windows, shard grids, stage channels, and home tables under layout l, then
+// loads checkpoint c — residents re-inserted in arrival order with profiles
+// and residency recomputed, the entity set, the progress counters — and sets
+// the sequence space to its watermark. A nil c is genesis, the empty
+// checkpoint at sequence zero. No pipeline goroutine may be running, and
+// after an error none may be started.
 //
 //terids:deterministic
-func (e *Engine) loadResidents(c *snapshot.Checkpoint) ([]*tuple.Record, error) {
+func (e *Engine) install(l Layout, c *snapshot.Checkpoint) error {
+	// Every fallible construction happens into locals first: a failure here
+	// must not publish half-built state (a shards slice with nil entries
+	// would panic a concurrent Stats/Imbalance reader).
+	cc := e.cfg.Core
+	var timeWins []*stream.TimeWindow
+	var windows *stream.MultiWindow
+	if cc.TimeSpan > 0 {
+		timeWins = make([]*stream.TimeWindow, cc.Streams)
+		for i := range timeWins {
+			tw, err := stream.NewTimeWindow(cc.TimeSpan)
+			if err != nil {
+				return err
+			}
+			timeWins[i] = tw
+		}
+	} else {
+		mw, err := stream.NewMultiWindow(cc.Streams, cc.WindowSize)
+		if err != nil {
+			return err
+		}
+		windows = mw
+	}
+	shardCh := make([]chan shardCmd, l.K)
+	shards := make([]*shard, l.K)
+	for i := range shards {
+		g, err := e.step.NewGrid()
+		if err != nil {
+			return err
+		}
+		shardCh[i] = make(chan shardCmd, e.cfg.QueueDepth)
+		shards[i] = newShard(i, e, g)
+	}
+	if c == nil {
+		c = &snapshot.Checkpoint{} // genesis: no residents, no pairs, watermark zero
+	}
 	recs, err := core.CheckpointRecords(e.step.Shared().Schema, c)
 	if err != nil {
-		return nil, err
+		return err
 	}
+
+	e.stateMu.Lock()
+	defer e.stateMu.Unlock()
+	e.cfg.Shards = l.K
+	if e.autoImpute {
+		// An auto-sized impute pool follows K, so a grown K gets a grown
+		// imputation stage too; start() reads the value when it launches.
+		e.cfg.ImputeWorkers = l.K
+	}
+	e.layout = l.Slots
+	e.internHomes() // per-K; needed before the residents below are re-homed
+	e.imputeIn = make(chan []*item, e.cfg.QueueDepth)
+	e.imputedOut = make(chan []*item, e.cfg.QueueDepth)
+	e.hdrCh = make(chan []header, e.cfg.QueueDepth)
+	e.partials = make(chan partial, e.cfg.QueueDepth*l.K)
+	e.shardScratch = make([][]shardItem, l.K)
+	e.timeWins, e.windows = timeWins, windows
+	e.shardCh, e.shards = shardCh, shards
+	e.live = make(map[string]int, len(recs))
+	for i := range e.slotWeight {
+		e.slotWeight[i].Store(0)
+	}
+
 	for i, rec := range recs {
 		expired, err := e.pushWindow(rec)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(expired) > 0 {
-			return nil, fmt.Errorf("engine: checkpoint resident %s overflows stream %d window",
+			return fmt.Errorf("engine: checkpoint resident %s overflows stream %d window",
 				rec.RID, rec.Stream)
 		}
-		seq := c.Residents[i].ArrivalSeq
 		im, _ := e.step.Impute(rec)
 		prof := e.step.Profile(im)
 		homes, slot := e.homeShards(prof)
@@ -170,13 +213,63 @@ func (e *Engine) loadResidents(c *snapshot.Checkpoint) ([]*tuple.Record, error) 
 			e.slotWeight[slot].Add(1)
 		}
 		for _, h := range homes {
-			s := e.shards[h]
+			s := shards[h]
 			if err := s.grid.Insert(&grid.Entry{Rec: rec, Prof: prof}); err != nil {
-				return nil, err
+				return err
 			}
-			s.seqOf[rec.RID] = seq
+			s.seqOf[rec.RID] = c.Residents[i].ArrivalSeq
 			s.residents.Add(1)
 		}
 	}
-	return recs, nil
+	results := core.NewResultSet()
+	if err := core.RestoreResults(results, recs, c); err != nil {
+		return err
+	}
+	e.startSeq = c.Seq
+	e.seq.Store(c.Seq)
+	e.resultsMu.Lock()
+	e.results, e.completed, e.rejected = results, c.Completed, c.Rejected
+	e.resultsMu.Unlock()
+	return nil
+}
+
+// swap replaces a running engine's state in place: drain to the watermark,
+// stop the pipeline (closing intake cascades the shutdown left to right, as
+// in Close), install checkpoint c under layout l, restart. A nil c
+// re-installs the engine's own state, captured at the barrier — a pure
+// layout change; the installed checkpoint is returned either way. The engine
+// object, its WAL, OnResult sink, metrics, and journal carry over.
+//
+// Ownership: the caller holds subMu throughout — that is what keeps arrivals
+// out while no pipeline exists — and install runs only after mergeWG.Wait
+// has seen the old pipeline's last goroutine exit. If install then fails,
+// the old pipeline is gone and no new one started, so the engine is failed:
+// submitters and Checkpoint get the error instead of a hang.
+func (e *Engine) swap(l Layout, c *snapshot.Checkpoint) (*snapshot.Checkpoint, error) {
+	if e.closed {
+		return nil, ErrClosed
+	}
+	e.rebalancing.Store(true)
+	defer e.rebalancing.Store(false)
+	var err error
+	if c == nil {
+		c, err = e.checkpointLocked()
+	} else {
+		err = e.flushLocked()
+	}
+	if err != nil {
+		return nil, err
+	}
+	close(e.imputeIn)
+	e.mergeWG.Wait()
+	if err := e.Err(); err != nil {
+		return nil, err
+	}
+	if err := e.install(l, c); err != nil {
+		e.closed = true
+		e.fail(err)
+		return nil, err
+	}
+	e.start()
+	return c, nil
 }

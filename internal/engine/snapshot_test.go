@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"terids/internal/core"
 	"terids/internal/snapshot"
@@ -378,5 +379,179 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	bad.WindowSize = 49
 	if _, err := NewFromSnapshot(f.sh, Config{Core: bad, Shards: 2}, c); err == nil {
 		t.Fatal("NewFromSnapshot accepted a mismatched window size")
+	}
+}
+
+// TestRestoreEntryPointsEquivalent is the one-restore-path contract: the
+// same checkpoint plus the same WAL suffix, driven through every public
+// entry point that installs engine state, yields one result stream —
+// byte-identical, per arrival and in the final entity set, to an
+// uninterrupted core.Processor run. One row per entry point. Run under -race
+// in CI.
+func TestRestoreEntryPointsEquivalent(t *testing.T) {
+	f := loadFixture(t)
+	wantPerArrival, wantFinal := runProcessor(t, f)
+	n := len(f.stream)
+	mid := 2 * n / 3 // late enough that the checkpoint carries live pairs
+	const k = 3
+
+	// The shared durable state: a full checkpoint at mid and a WAL holding
+	// every arrival, left exactly as a SIGKILL after the last Submit would.
+	dir := t.TempDir()
+	dcfg := DurableConfig{Dir: dir, NoSync: true, SegmentBytes: 4096}
+	w, err := OpenDurable(f.sh, Config{Core: f.cfg, Shards: k}, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Eng.SubmitBatch(f.stream[:mid]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Eng.SubmitBatch(f.stream[mid:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(false); err != nil {
+		t.Fatal(err)
+	}
+	_, c, err := LatestCheckpoint(dir)
+	if err != nil || c == nil || c.Seq != int64(mid) {
+		t.Fatalf("shared checkpoint: %v at %+v, want watermark %d", err, c, mid)
+	}
+	suffix := f.stream[mid:] // what the WAL holds past the checkpoint
+	suffixPairs := 0
+	for _, ps := range wantPerArrival[mid:] {
+		suffixPairs += len(ps)
+	}
+	if len(c.Pairs) == 0 || suffixPairs == 0 {
+		t.Fatalf("fixture too thin: checkpoint carries %d pairs, suffix emits %d", len(c.Pairs), suffixPairs)
+	}
+	crashDir := func(t *testing.T) DurableConfig {
+		d := dcfg
+		d.Dir = t.TempDir()
+		copyTree(t, dir, d.Dir)
+		return d
+	}
+
+	runSuffix := func(t *testing.T, eng *Engine) []core.Pair {
+		t.Helper()
+		if err := eng.SubmitBatch(suffix); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return eng.ResultSet()
+	}
+
+	// Each row brings an engine to the checkpoint through its entry point,
+	// runs the suffix, and returns the per-arrival results for [mid, n) with
+	// the final entity set.
+	rows := []struct {
+		name string
+		run  func(t *testing.T, col *collector) []core.Pair
+	}{
+		{"NewFromSnapshot", func(t *testing.T, col *collector) []core.Pair {
+			eng, err := NewFromSnapshot(f.sh, Config{Core: f.cfg, Shards: k, OnResult: col.onResult}, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return runSuffix(t, eng)
+		}},
+		{"Rebalance to the same layout", func(t *testing.T, col *collector) []core.Pair {
+			eng, err := NewFromSnapshot(f.sh, Config{Core: f.cfg, Shards: k, OnResult: col.onResult}, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Rebalance(Layout{K: k, Slots: eng.layout}); err != nil {
+				t.Fatal(err)
+			}
+			return runSuffix(t, eng)
+		}},
+		{"ApplyCheckpoint", func(t *testing.T, col *collector) []core.Pair {
+			eng, err := New(f.sh, Config{Core: f.cfg, Shards: k, OnResult: col.onResult})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.ApplyCheckpoint(c); err != nil {
+				t.Fatal(err)
+			}
+			return runSuffix(t, eng)
+		}},
+		{"OpenDurable", func(t *testing.T, col *collector) []core.Pair {
+			d, err := OpenDurable(f.sh, Config{Core: f.cfg, Shards: k, OnResult: col.onResult}, crashDir(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.ResumeSeq() != int64(n) || d.Replayed() != int64(n-mid) {
+				t.Fatalf("recovery resumed at %d after %d replayed, want %d after %d",
+					d.ResumeSeq(), d.Replayed(), n, n-mid)
+			}
+			if err := d.Close(false); err != nil {
+				t.Fatal(err)
+			}
+			return d.Eng.ResultSet()
+		}},
+		{"DeepReplay", func(t *testing.T, col *collector) []core.Pair {
+			d, err := OpenDurable(f.sh, Config{Core: f.cfg, Shards: k}, crashDir(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, high := deepCollect(t, d, int64(mid), 0)
+			if high != int64(n-1) {
+				t.Fatalf("deep replay reached seq %d, want %d", high, n-1)
+			}
+			for _, res := range got {
+				col.onResult(res)
+			}
+			if err := d.Close(false); err != nil {
+				t.Fatal(err)
+			}
+			// The throwaway engine is gone; the host's set stands in.
+			return d.Eng.ResultSet()
+		}},
+		{"Promote", func(t *testing.T, col *collector) []core.Pair {
+			// A poll interval that never fires leaves the whole suffix to the
+			// promotion's remainder replay.
+			d := crashDir(t)
+			fol, err := OpenFollower(f.sh, Config{Core: f.cfg, Shards: k, OnResult: col.onResult},
+				FollowerConfig{Dir: d.Dir, Poll: time.Hour, Durable: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := fol.Promote()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.ResumeSeq() != int64(n) {
+				t.Fatalf("promoted writer resumes at %d, want %d", p.ResumeSeq(), n)
+			}
+			if err := p.Close(false); err != nil {
+				t.Fatal(err)
+			}
+			if err := fol.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return p.Eng.ResultSet()
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			col := newCollector()
+			final := row.run(t, col)
+			for i := mid; i < n; i++ {
+				got, ok := col.pairs[int64(i)]
+				if !ok {
+					t.Fatalf("arrival %d never finalized", i)
+				}
+				if !samePairs(wantPerArrival[i], got) {
+					t.Fatalf("arrival %d: got %v, reference %v", i, got, wantPerArrival[i])
+				}
+			}
+			if !samePairs(wantFinal, final) {
+				t.Fatalf("final entity set differs: %d pairs, reference %d", len(final), len(wantFinal))
+			}
+		})
 	}
 }

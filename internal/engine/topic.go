@@ -63,8 +63,8 @@ func keywordMass(im *tuple.Imputed, kw uint32) float64 {
 // shard count: homeSingle[sh] is the shared single-home slice for shard sh,
 // homeAll the shared broadcast slice. homeShards returns these directly, so
 // repeated topics stop allocating per arrival; every consumer treats them as
-// read-only. Called from newEngine and from rebuild (before residents are
-// re-homed), never concurrently with the pipeline.
+// read-only. Called from install (before residents are re-homed), never
+// concurrently with the pipeline.
 func (e *Engine) internHomes() {
 	k := e.cfg.Shards
 	e.homeSingle = make([][]int, k)

@@ -91,7 +91,7 @@ func TestFig5bShape(t *testing.T) {
 	// The efficiency ordering vs the heaviest baseline holds even at the
 	// tiny test scale; the full CDD-family ordering (TER-iDS < Ij+GER <
 	// CDD+ER < DD+ER) needs realistic sizes and is exercised by the
-	// benchmark harness (see EXPERIMENTS.md). It is asserted on the work the
+	// benchmark harness (cmd/terids-bench). It is asserted on the work the
 	// two methods report — pairs whose exact Equation 2 probability had to
 	// be computed — because at this scale the seconds above are a few
 	// microseconds per tuple and order themselves by scheduling noise.
