@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"terids/internal/grid"
 	"terids/internal/impute"
@@ -230,13 +229,7 @@ func (b *Baseline) resolveScan(q *prune.Profile) []Pair {
 // identical to the TER-iDS refinement.
 func (b *Baseline) resolveGrid(q *prune.Profile) []Pair {
 	var out []Pair
-	var survivors []*grid.Entry
-	b.g.Candidates(q, grid.Query{Gamma: b.cfg.Gamma}, func(e *grid.Entry) bool {
-		survivors = append(survivors, e)
-		return true
-	})
-	sort.Slice(survivors, func(i, j int) bool { return survivors[i].Rec.RID < survivors[j].Rec.RID })
-	for _, e := range survivors {
+	for _, e := range b.g.Survivors(q, grid.Query{Gamma: b.cfg.Gamma}) {
 		b.pruneStat.Considered++
 		if prune.TopicPrune(q, e.Prof) {
 			b.pruneStat.Topic++

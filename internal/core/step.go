@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"terids/internal/grid"
 	"terids/internal/impute"
 	"terids/internal/metrics"
@@ -93,46 +91,39 @@ func (s *Step) Profile(im *tuple.Imputed) *prune.Profile {
 // γ, α) — never on how residents are distributed across grid partitions —
 // because every pruning rule is safe: cell-level aggregates over any subset
 // of residents still bound each member, so partitioning can only move cost.
+// Pair order is grid.Candidates' contract, not Resolve's doing: survivors
+// arrive in insertion-ordinal order, which within any partition is global
+// arrival order, and the engine's merge relies on that. The survivors buffer
+// belongs to g, so a Step shared across shards stays free of mutable state.
+//
+//terids:hotpath
 func (s *Step) Resolve(g *grid.Grid, q *prune.Profile, stat *metrics.PruneStats) []Pair {
 	var out []Pair
-	var survivors []*grid.Entry
-	g.Candidates(q, grid.Query{
+	survivors := g.Survivors(q, grid.Query{
 		Gamma:        s.cfg.Gamma,
 		DisableTopic: s.cfg.Ablate.Topic,
 		DisableSim:   s.cfg.Ablate.Sim,
-	}, func(e *grid.Entry) bool {
-		survivors = append(survivors, e)
-		return true
-	})
-	// Deterministic order via insertion ordinals (cheap int sort). Ordinals
-	// are assigned in insertion order, so within any partition this is also
-	// global arrival order — the engine's merge relies on that.
-	slices.SortFunc(survivors, func(a, b *grid.Entry) int {
-		return int(a.Ord() - b.Ord())
 	})
 
 	// Exact pruning attribution (Figure 4): every live other-stream tuple
 	// forms one candidate pair with q. Pairs eliminated at cell level are
-	// attributed to the strategy that would have eliminated them. This
-	// pass costs O(live tuples), so it is gated behind TrackPruning.
+	// attributed to the strategy that would have eliminated them. Residents
+	// and survivors share one order, so this is a merge walk; it still costs
+	// O(live tuples) and is gated behind TrackPruning.
 	if s.cfg.TrackPruning {
-		live := make(map[int64]struct{}, len(survivors))
-		for _, e := range survivors {
-			live[e.Ord()] = struct{}{}
-		}
+		next := 0
 		g.Each(func(e *grid.Entry) bool {
-			if e.Rec.Stream == q.Im.R.Stream {
+			switch {
+			case e.Rec.Stream == q.Im.R.Stream:
 				return true
-			}
-			stat.Considered++
-			if _, ok := live[e.Ord()]; ok {
-				return true
-			}
-			if prune.TopicPrune(q, e.Prof) {
+			case next < len(survivors) && survivors[next] == e:
+				next++
+			case prune.TopicPrune(q, e.Prof):
 				stat.Topic++
-			} else {
+			default:
 				stat.SimUB++
 			}
+			stat.Considered++
 			return true
 		})
 	} else {

@@ -5,13 +5,16 @@
 // carry the aggregates of Section 5.2 (keyword vector, per-pivot distance
 // intervals, token-size intervals) enabling cell-level pruning before
 // tuple-level pruning.
+//
+// Three invariants hold after every operation: residents are kept in
+// insertion-ordinal order; Candidates emits each survivor exactly once, in
+// that order; and every cell's aggregate equals a from-scratch merge of the
+// entries it holds.
 package grid
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"math"
 
 	"terids/internal/agg"
 	"terids/internal/prune"
@@ -22,44 +25,122 @@ import (
 type Entry struct {
 	Rec  *tuple.Record
 	Prof *prune.Profile
-	// sum caches Prof.Summary at the grid's pivot width; computed on
-	// first insert and reused when cell aggregates are rebuilt.
+	// sum caches Prof.Summary at the grid's pivot width; computed on insert
+	// and compared against cell aggregates when the entry leaves.
 	sum *agg.Summary
-	// ord is the grid-assigned insertion ordinal: a cheap deterministic
-	// identity for dedup and ordering in hot paths.
+	// ord is the grid-assigned insertion ordinal: the deterministic order
+	// Candidates, Each and Export emit in.
 	ord int64
+	// pos indexes the entry in Grid.order; cells are the cells holding it.
+	pos   int
+	cells []*cell
 }
 
 // Ord returns the entry's insertion ordinal (0 before insertion).
 func (e *Entry) Ord() int64 { return e.ord }
 
 type cell struct {
-	key     string
+	id      int // row-major index of the cell's coordinates
 	entries []*Entry
 	summary *agg.Summary
+	// stamp equals Grid.epoch iff the cell survived cell-level pruning in
+	// the Candidates call in progress.
+	stamp uint64
 }
 
-func (c *cell) remove(rid string) {
-	for i, e := range c.entries {
-		if e.Rec.RID == rid {
-			c.entries = append(c.entries[:i], c.entries[i+1:]...)
+// drop takes e out of the cell by pointer identity. Entry order inside a
+// cell carries no meaning, so the last entry fills the hole.
+func (c *cell) drop(e *Entry) {
+	last := len(c.entries) - 1
+	for i, r := range c.entries {
+		if r == e {
+			c.entries[i] = c.entries[last]
+			c.entries[last] = nil
+			c.entries = c.entries[:last]
 			return
 		}
 	}
 }
 
-// Grid is the ER-grid G_ER. It is not safe for concurrent use.
+// shrink makes the aggregate exact again after an entry summarized by gone
+// has left a cell that still holds others. Only a bound gone attained can
+// have moved, and only such bounds are rescanned, stopping at the first
+// remaining entry that attains them too — ties (distance 1.0 to a pivot,
+// equal token counts, a shared keyword) are the common case. An empty
+// interval (a padded pivot slot, a failed imputation) attains nothing.
+func (c *cell) shrink(gone *agg.Summary) {
+	cs := c.summary
+	for x := range cs.Dist {
+		for a := range cs.Dist[x] {
+			iv, was := &cs.Dist[x][a], gone.Dist[x][a]
+			lo, hi := iv.Lo, iv.Hi
+			if was.Lo == lo {
+				lo = agg.EmptyInterval().Lo
+			}
+			if was.Hi == hi {
+				hi = agg.EmptyInterval().Hi
+			}
+			for _, r := range c.entries {
+				if lo == iv.Lo && hi == iv.Hi {
+					break
+				}
+				o := r.sum.Dist[x][a]
+				lo, hi = min(lo, o.Lo), max(hi, o.Hi)
+			}
+			iv.Lo, iv.Hi = lo, hi
+		}
+		iv, was := &cs.Size[x], gone.Size[x]
+		lo, hi := iv.Lo, iv.Hi
+		if was.Lo == lo {
+			lo = agg.EmptyIntInterval().Lo
+		}
+		if was.Hi == hi {
+			hi = agg.EmptyIntInterval().Hi
+		}
+		for _, r := range c.entries {
+			if lo == iv.Lo && hi == iv.Hi {
+				break
+			}
+			o := r.sum.Size[x]
+			lo, hi = min(lo, o.Lo), max(hi, o.Hi)
+		}
+		iv.Lo, iv.Hi = lo, hi
+	}
+	for i := 0; i < cs.KW.Len(); i++ {
+		if !gone.KW.Get(i) {
+			continue
+		}
+		carried := false
+		for _, r := range c.entries {
+			if carried = r.sum.KW.Get(i); carried {
+				break
+			}
+		}
+		if !carried {
+			cs.KW.Clear(i)
+		}
+	}
+}
+
+// Grid is the ER-grid G_ER. It is not safe for concurrent use, queries
+// included: Candidates stamps cells.
 type Grid struct {
 	d    int // attributes (grid dimensionality)
 	n    int // cells per dimension
 	nPiv int // pivot slots in summaries
 	nKW  int // keyword vector width
-	h    float64
 
-	cells   map[string]*cell
-	byRID   map[string][]string // rid -> keys of cells holding it
-	recs    map[string]*Entry   // rid -> entry
+	cells map[int]*cell     // materialized (non-empty) cells by id
+	recs  map[string]*Entry // rid -> entry
+	// order holds the residents by ascending ordinal; a removed entry
+	// leaves a nil tombstone until compaction.
+	order   []*Entry
+	dead    int // tombstones in order
 	nextOrd int64
+	epoch   uint64 // Candidates call counter, see cell.stamp
+
+	lo, hi, idx []int    // Insert's box-enumeration scratch
+	survivors   []*Entry // Survivors' result buffer
 }
 
 // New creates a grid with cellsPerDim cells along each of the d dimensions.
@@ -70,12 +151,14 @@ func New(d, cellsPerDim, nPiv, nKW int) (*Grid, error) {
 	if nPiv < 1 {
 		return nil, fmt.Errorf("grid: need at least the main pivot, got %d", nPiv)
 	}
+	if math.Pow(float64(cellsPerDim), float64(d)) >= math.MaxInt {
+		return nil, fmt.Errorf("grid: %d^%d cells overflow the cell id", cellsPerDim, d)
+	}
 	return &Grid{
 		d: d, n: cellsPerDim, nPiv: nPiv, nKW: nKW,
-		h:     1 / float64(cellsPerDim),
-		cells: make(map[string]*cell),
-		byRID: make(map[string][]string),
+		cells: make(map[int]*cell),
 		recs:  make(map[string]*Entry),
+		lo:    make([]int, d), hi: make([]int, d), idx: make([]int, d),
 	}, nil
 }
 
@@ -97,50 +180,11 @@ func (g *Grid) coord(v float64) int {
 	return i
 }
 
-func key(idx []int) string {
-	var b strings.Builder
-	for i, v := range idx {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(v))
-	}
-	return b.String()
-}
-
-// boxCells enumerates the keys of all cells intersecting the box [lo, hi].
-func (g *Grid) boxCells(lo, hi []float64) []string {
-	loIdx := make([]int, g.d)
-	hiIdx := make([]int, g.d)
-	total := 1
-	for x := 0; x < g.d; x++ {
-		loIdx[x] = g.coord(lo[x])
-		hiIdx[x] = g.coord(hi[x])
-		total *= hiIdx[x] - loIdx[x] + 1
-	}
-	keys := make([]string, 0, total)
-	idx := append([]int(nil), loIdx...)
-	for {
-		keys = append(keys, key(idx))
-		x := g.d - 1
-		for x >= 0 {
-			idx[x]++
-			if idx[x] <= hiIdx[x] {
-				break
-			}
-			idx[x] = loIdx[x]
-			x--
-		}
-		if x < 0 {
-			break
-		}
-	}
-	return keys
-}
-
-// Insert adds an entry to every cell its main-pivot box intersects and
-// updates cell aggregates. Inserting an RID already present is an error
-// (evict first).
+// Insert appends an entry to the resident order, adds it to every cell its
+// main-pivot box intersects and extends those cells' aggregates: O(cells in
+// the box). Inserting an RID already present is an error (evict first).
+//
+//terids:hotpath
 func (g *Grid) Insert(e *Entry) error {
 	rid := e.Rec.RID
 	if _, dup := g.recs[rid]; dup {
@@ -150,54 +194,86 @@ func (g *Grid) Insert(e *Entry) error {
 	if len(lo) != g.d {
 		return fmt.Errorf("grid: entry dimensionality %d, grid %d", len(lo), g.d)
 	}
-	keys := g.boxCells(lo, hi)
+	total := 1
+	for x := range g.idx {
+		g.lo[x], g.hi[x] = g.coord(lo[x]), g.coord(hi[x])
+		g.idx[x] = g.lo[x]
+		total *= g.hi[x] - g.lo[x] + 1
+	}
 	if e.sum == nil {
 		e.sum = e.Prof.Summary(g.nPiv)
 	}
 	g.nextOrd++
 	e.ord = g.nextOrd
-	sum := e.sum
-	for _, k := range keys {
-		c, ok := g.cells[k]
+	e.pos = len(g.order)
+	g.order = append(g.order, e)
+	g.recs[rid] = e
+
+	// Walk the box like an odometer, last dimension fastest.
+	e.cells = make([]*cell, 0, total)
+	for x := 0; x >= 0; {
+		id := 0
+		for _, v := range g.idx {
+			id = id*g.n + v
+		}
+		c, ok := g.cells[id]
 		if !ok {
-			c = &cell{
-				key:     k,
-				summary: agg.NewSummary(g.d, g.nPiv, g.nKW),
-			}
-			g.cells[k] = c
+			c = &cell{id: id, summary: agg.NewSummary(g.d, g.nPiv, g.nKW)}
+			g.cells[id] = c
 		}
 		c.entries = append(c.entries, e)
-		c.summary.Merge(sum)
+		c.summary.Merge(e.sum)
+		e.cells = append(e.cells, c)
+		for x = g.d - 1; x >= 0; x-- {
+			if g.idx[x]++; g.idx[x] <= g.hi[x] {
+				break
+			}
+			g.idx[x] = g.lo[x]
+		}
 	}
-	g.byRID[rid] = keys
-	g.recs[rid] = e
 	return nil
 }
 
-// Remove evicts a tuple (window expiry) and rebuilds the aggregates of the
-// cells that held it. It reports whether the RID was present.
+// Remove evicts a tuple (window expiry): it leaves each of its cells by
+// pointer identity and only the aggregate bounds it attained are rescanned
+// (cell.shrink), so the usual cost is O(cells in the box). It reports
+// whether the RID was present.
+//
+//terids:hotpath
 func (g *Grid) Remove(rid string) bool {
-	keys, ok := g.byRID[rid]
+	e, ok := g.recs[rid]
 	if !ok {
 		return false
 	}
-	for _, k := range keys {
-		c := g.cells[k]
-		c.remove(rid)
+	delete(g.recs, rid)
+	for _, c := range e.cells {
+		c.drop(e)
 		if len(c.entries) == 0 {
-			delete(g.cells, k)
-			continue
-		}
-		// Recompute the cell aggregate from the survivors' cached
-		// summaries.
-		c.summary = agg.NewSummary(g.d, g.nPiv, g.nKW)
-		for _, e := range c.entries {
-			c.summary.Merge(e.sum)
+			delete(g.cells, c.id)
+		} else {
+			c.shrink(e.sum)
 		}
 	}
-	delete(g.byRID, rid)
-	delete(g.recs, rid)
+	e.cells = nil
+	g.order[e.pos] = nil
+	if g.dead++; g.dead > len(g.order)/2 {
+		g.compact()
+	}
 	return true
+}
+
+// compact squeezes the tombstones out of order; Remove calls it once they
+// outnumber the residents, which keeps it amortized O(1) per removal.
+func (g *Grid) compact() {
+	live := g.order[:0]
+	for _, e := range g.order {
+		if e != nil {
+			e.pos = len(live)
+			live = append(live, e)
+		}
+	}
+	clear(g.order[len(live):])
+	g.order, g.dead = live, 0
 }
 
 // Export returns the resident entries in insertion-ordinal order — the
@@ -205,10 +281,10 @@ func (g *Grid) Remove(rid string) bool {
 // derived state that Import rebuilds.
 func (g *Grid) Export() []*Entry {
 	out := make([]*Entry, 0, len(g.recs))
-	for _, e := range g.recs {
+	g.Each(func(e *Entry) bool {
 		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ord < out[j].ord })
+		return true
+	})
 	return out
 }
 
@@ -234,10 +310,10 @@ func (g *Grid) Get(rid string) (*Entry, bool) {
 	return e, ok
 }
 
-// Each visits every resident entry once.
+// Each visits every resident entry once, in insertion-ordinal order.
 func (g *Grid) Each(visit func(*Entry) bool) {
-	for _, e := range g.recs {
-		if !visit(e) {
+	for _, e := range g.order {
+		if e != nil && !visit(e) {
 			return
 		}
 	}
@@ -261,13 +337,18 @@ type Query struct {
 
 // Candidates streams the entries that survive cell-level pruning against
 // query profile q (Theorem 4.1 at cell granularity via keyword aggregates,
-// Theorem 4.2 via distance/size aggregates). Entries from other streams
-// only (stream != q's stream) are emitted, deduplicated. Tuple-level
-// pruning is the caller's job.
+// Theorem 4.2 via distance/size aggregates): entries of other streams
+// (stream != q's stream) held by at least one surviving cell. Each is
+// emitted exactly once, however many cells hold it, in strictly increasing
+// Ord() — within any partition that is arrival order, and the engine's merge
+// depends on it, so callers must not reorder. A visit that returns false
+// therefore stops at a deterministic entry. Tuple-level pruning is the
+// caller's job. Cost: one pass over the cells plus one over the residents.
+//
+//terids:hotpath
 func (g *Grid) Candidates(q *prune.Profile, opt Query, visit func(*Entry) bool) CandidateStats {
 	var stats CandidateStats
-	qStream := q.Im.R.Stream
-	seen := make(map[int64]struct{})
+	g.epoch++
 	for _, c := range g.cells {
 		stats.CellsVisited++
 		// Cell-level topic pruning: if the query tuple can never carry a
@@ -282,19 +363,35 @@ func (g *Grid) Candidates(q *prune.Profile, opt Query, visit func(*Entry) bool) 
 			stats.CellsPruned++
 			continue
 		}
-		for _, e := range c.entries {
-			if e.Rec.Stream == qStream {
+		c.stamp = g.epoch
+	}
+	qStream := q.Im.R.Stream
+	for _, e := range g.order {
+		if e == nil || e.Rec.Stream == qStream {
+			continue
+		}
+		for _, c := range e.cells {
+			if c.stamp != g.epoch {
 				continue
 			}
-			if _, dup := seen[e.ord]; dup {
-				continue
-			}
-			seen[e.ord] = struct{}{}
 			stats.Emitted++
 			if !visit(e) {
 				return stats
 			}
+			break
 		}
 	}
 	return stats
+}
+
+// Survivors collects what Candidates emits into a buffer the grid owns, so
+// a caller resolving one arrival after another allocates nothing here. The
+// result is valid until the next Survivors call on g.
+func (g *Grid) Survivors(q *prune.Profile, opt Query) []*Entry {
+	g.survivors = g.survivors[:0]
+	g.Candidates(q, opt, func(e *Entry) bool {
+		g.survivors = append(g.survivors, e)
+		return true
+	})
+	return g.survivors
 }

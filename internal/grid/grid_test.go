@@ -143,20 +143,25 @@ func TestCandidatesSimPruningAtCellLevel(t *testing.T) {
 	}
 }
 
+// TestCandidatesEarlyStop pins where an early stop lands: emission is in
+// ordinal order, so the one entry seen is the lowest surviving ordinal —
+// here b1, once b0 (the lowest overall) has expired.
 func TestCandidatesEarlyStop(t *testing.T) {
 	g := mustGrid(t, 2, 3)
 	kw := tokens.New("k")
+	g.Insert(entry(t, "a0", 0, "k p q", "m n", kw)) // the query's own stream
 	for i := 0; i < 10; i++ {
 		g.Insert(entry(t, fmt.Sprintf("b%d", i), 1, "k p q", "m n", kw))
 	}
+	g.Remove("b0")
 	q := entry(t, "q", 0, "k p q", "m n", kw)
-	n := 0
-	g.Candidates(q.Prof, Query{Gamma: 0.5}, func(*Entry) bool {
-		n++
+	var got []string
+	stats := g.Candidates(q.Prof, Query{Gamma: 0.5}, func(e *Entry) bool {
+		got = append(got, e.Rec.RID)
 		return false
 	})
-	if n != 1 {
-		t.Fatalf("early stop visited %d, want 1", n)
+	if len(got) != 1 || got[0] != "b1" || stats.Emitted != 1 {
+		t.Fatalf("early stop saw %v (Emitted %d), want exactly [b1]", got, stats.Emitted)
 	}
 }
 
@@ -221,27 +226,6 @@ func TestCandidatesNeverMissesAgainstBruteForce(t *testing.T) {
 			if sim > gamma && kwOK && !got[e.Rec.RID] {
 				t.Fatalf("trial %d: grid missed %s with sim %v > gamma %v", trial, e.Rec.RID, sim, gamma)
 			}
-		}
-	}
-}
-
-func TestRemoveRebuildsAggregates(t *testing.T) {
-	g := mustGrid(t, 2, 1) // single cell: aggregates must shrink on remove
-	kw := tokens.New("k")
-	e1 := entry(t, "r1", 0, "k p q", "m n", kw) // keyword-bearing
-	e2 := entry(t, "r2", 1, "x y", "u v", kw)   // no keyword
-	g.Insert(e1)
-	g.Insert(e2)
-	// One cell holding both; its KW aggregate must be set.
-	for _, c := range g.cells {
-		if !c.summary.KW.Any() {
-			t.Fatal("cell aggregate must carry the keyword bit")
-		}
-	}
-	g.Remove("r1")
-	for _, c := range g.cells {
-		if c.summary.KW.Any() {
-			t.Fatal("keyword bit must disappear after the carrier is removed")
 		}
 	}
 }
