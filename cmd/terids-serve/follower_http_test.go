@@ -48,7 +48,7 @@ func TestFollowerHTTPModeAndPromotion(t *testing.T) {
 		}
 	}()
 
-	srv := newServer(f.sh.Schema, 1024, 0, "")
+	srv := newServer(f.sh, 1024, 0, "")
 	srv.streams = f.cfg.Streams
 	fol, err := engine.OpenFollower(f.sh,
 		engine.Config{Core: f.cfg, Shards: 2, OnResult: srv.onResult},

@@ -303,7 +303,7 @@ func main() {
 	if ckpt != nil {
 		ringBase = ckpt.Seq
 	}
-	srv := newServer(sh.Schema, *replayCap, ringBase, *ckptDir)
+	srv := newServer(sh, *replayCap, ringBase, *ckptDir)
 	srv.limiter = newRateLimiter(*rateLimit, *rateBurst)
 	srv.streams = *streams
 	srv.replayDepth = *replayDep

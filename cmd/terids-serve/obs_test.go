@@ -15,15 +15,18 @@ import (
 	"testing"
 	"time"
 
+	"terids/internal/core"
 	"terids/internal/engine"
 	"terids/internal/obs"
+	"terids/internal/rules"
+	"terids/internal/tuple"
 )
 
 // startObsServer is startServer with trace sampling enabled and a shutdown
 // func tests can call early (cleanup tolerates both orders).
 func startObsServer(t *testing.T, f serveFixture, shards, traceSample int) (*server, *httptest.Server, func()) {
 	t.Helper()
-	srv := newServer(f.sh.Schema, 256, 0, t.TempDir())
+	srv := newServer(f.sh, 256, 0, t.TempDir())
 	srv.streams = f.cfg.Streams
 	eng, err := engine.New(f.sh, engine.Config{
 		Core:        f.cfg,
@@ -111,6 +114,23 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// scrapeGauge reads one unlabelled integer-valued gauge off /metrics.
+func scrapeGauge(t *testing.T, ts *httptest.Server, name string) int {
+	t.Helper()
+	_, body := get(t, ts.URL+"/metrics")
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s:\n%s", name, body)
+	return 0
+}
+
 var dictGaugeRuns int
 
 // TestServeTokenDictGauge pins terids_token_dict_size: ingesting one record
@@ -120,21 +140,7 @@ func TestServeTokenDictGauge(t *testing.T) {
 	dictGaugeRuns++ // the dictionary outlives the test: -count needs fresh tokens
 	f := loadServeFixture(t)
 	_, ts, _ := startObsServer(t, f, 2, 0)
-	gauge := func() int {
-		t.Helper()
-		_, body := get(t, ts.URL+"/metrics")
-		for _, line := range strings.Split(body, "\n") {
-			if v, ok := strings.CutPrefix(line, "terids_token_dict_size "); ok {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					t.Fatalf("terids_token_dict_size %q: %v", v, err)
-				}
-				return n
-			}
-		}
-		t.Fatalf("/metrics has no terids_token_dict_size:\n%s", body)
-		return 0
-	}
+	gauge := func() int { return scrapeGauge(t, ts, "terids_token_dict_size") }
 	post := func(rid string) {
 		t.Helper()
 		d := f.sh.Schema.D()
@@ -163,6 +169,77 @@ func TestServeTokenDictGauge(t *testing.T) {
 	post("dictgauge-b")
 	if got := gauge() - before; got != 40 {
 		t.Fatalf("gauge moved by %d after the same 40 tokens again, want 40", got)
+	}
+}
+
+// TestServeNeighbourSetsGauge pins terids_domain_neighbour_sets: over a
+// freshly prepared repository it reads 0; after a stream it reads the number
+// of distinct (attribute, sample value, dependent interval) keys the
+// imputation join asks for on that stream, counted here without an
+// accumulator; the same tuples under new RIDs ask for the same keys and move
+// it no further.
+func TestServeNeighbourSetsGauge(t *testing.T) {
+	f := loadServeFixture(t)
+	// The fixture's Shared serves every test in the package; this one needs
+	// domain indexes nothing has imputed through yet.
+	pc := core.DefaultPrepareConfig(f.cfg.Keywords)
+	pc.Selection = f.sh.Sel
+	sh, err := core.Prepare(f.sh.Repo, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.sh = sh
+	srv, ts, _ := startObsServer(t, f, 2, 0)
+	gauge := func() int {
+		t.Helper()
+		if err := srv.eng.Flush(); err != nil { // ?wait=1 is admission, not completion
+			t.Fatal(err)
+		}
+		return scrapeGauge(t, ts, "terids_domain_neighbour_sets")
+	}
+	if got := gauge(); got != 0 {
+		t.Fatalf("gauge reads %d before any arrival, want 0", got)
+	}
+
+	batch := f.stream[:80]
+	type key struct {
+		attr, val      int
+		depMin, depMax float64
+	}
+	want := map[key]bool{}
+	again := make([]*tuple.Record, len(batch))
+	for i, r := range batch {
+		vals := make([]string, r.D())
+		for j := range vals {
+			vals[j] = r.Value(j)
+		}
+		again[i] = tuple.MustRecord(sh.Schema, "again-"+r.RID, r.Stream, r.Seq+int64(len(batch)), vals)
+		for j := 0; j < r.D(); j++ {
+			if !r.IsMissing(j) {
+				continue
+			}
+			var applicable []*rules.Rule
+			sh.CDDIdx[j].Applicable(r, func(rule *rules.Rule) bool {
+				applicable = append(applicable, rule)
+				return true
+			})
+			dom := sh.Repo.Domain(j)
+			sh.DRIdx.MatchingSamplesMulti(r, applicable, func(ri int, smp *tuple.Record) bool {
+				want[key{j, dom.Lookup(smp.Value(j)), applicable[ri].DepMin, applicable[ri].DepMax}] = true
+				return true
+			})
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("fixture: the batch matches no repository sample")
+	}
+	ingest(t, ts, batch)
+	if got := gauge(); got != len(want) {
+		t.Fatalf("gauge reads %d after the batch, want %d distinct keys", got, len(want))
+	}
+	ingest(t, ts, again)
+	if got := gauge(); got != len(want) {
+		t.Fatalf("gauge reads %d after the same tuples again, want %d still", got, len(want))
 	}
 }
 

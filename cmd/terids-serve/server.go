@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"terids/internal/cliutil"
+	"terids/internal/core"
 	"terids/internal/engine"
 	"terids/internal/obs"
 	"terids/internal/snapshot"
@@ -120,9 +121,9 @@ type server struct {
 
 // newServer builds the server shell; the engine is attached afterwards
 // (its OnResult must point at s.onResult, which needs s to exist first).
-func newServer(schema *tuple.Schema, ringCap int, ringBase int64, ckptDir string) *server {
+func newServer(sh *core.Shared, ringCap int, ringBase int64, ckptDir string) *server {
 	s := &server{
-		schema:       schema,
+		schema:       sh.Schema,
 		ring:         newResultRing(ringCap, ringBase),
 		ckptDir:      ckptDir,
 		done:         make(chan struct{}),
@@ -139,6 +140,8 @@ func newServer(schema *tuple.Schema, ringCap int, ringBase int64, ckptDir string
 		func() float64 { return time.Since(s.started).Seconds() })
 	s.reg.GaugeFunc("terids_token_dict_size", "Distinct tokens in the process-wide token dictionary (append-only).", nil,
 		func() float64 { return float64(tokens.DictSize()) })
+	s.reg.GaugeFunc("terids_domain_neighbour_sets", "Neighbour sets memoised by the repository's domain indexes (filled on first use; bounded by domain values x dependent intervals).", nil,
+		func() float64 { return float64(sh.NeighbourSets()) })
 	return s
 }
 

@@ -84,7 +84,7 @@ func startServer(t *testing.T, f serveFixture, shards, ringCap int, ckpt *snapsh
 	if ckpt != nil {
 		ringBase = ckpt.Seq
 	}
-	srv := newServer(f.sh.Schema, ringCap, ringBase, t.TempDir())
+	srv := newServer(f.sh, ringCap, ringBase, t.TempDir())
 	srv.streams = f.cfg.Streams
 	cfg := engine.Config{Core: f.cfg, Shards: shards, OnResult: srv.onResult}
 	var eng *engine.Engine
@@ -438,7 +438,7 @@ func startDurableServer(t *testing.T, f serveFixture, shards, ringCap int, dir s
 	if ckpt != nil {
 		ringBase = ckpt.Seq
 	}
-	srv := newServer(f.sh.Schema, ringCap, ringBase, "")
+	srv := newServer(f.sh, ringCap, ringBase, "")
 	srv.streams = f.cfg.Streams
 	dcfg.Dir = dir
 	dcfg.Checkpoint = ckpt

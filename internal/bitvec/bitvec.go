@@ -71,6 +71,17 @@ func (v Vector) Count() int {
 	return n
 }
 
+// Ones yields the indexes of the set bits in ascending order.
+func (v Vector) Ones(yield func(int) bool) {
+	for w, word := range v.words {
+		for ; word != 0; word &= word - 1 {
+			if !yield(w<<6 + bits.TrailingZeros64(word)) {
+				return
+			}
+		}
+	}
+}
+
 // Or folds other into v in place (v |= other). The widths must match.
 func (v Vector) Or(other Vector) {
 	if v.n != other.n {

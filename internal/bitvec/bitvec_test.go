@@ -141,4 +141,23 @@ func TestRandomizedAgainstMap(t *testing.T) {
 	if v.Count() != count {
 		t.Fatalf("Count = %d, want %d", v.Count(), count)
 	}
+	// Ones: every set bit once, ascending, and a false yield stops it.
+	prev, seen := -1, 0
+	for i := range v.Ones {
+		if i <= prev || !ref[i] {
+			t.Fatalf("Ones yielded %d after %d (set: %v)", i, prev, ref[i])
+		}
+		prev = i
+		seen++
+	}
+	if seen != count {
+		t.Fatalf("Ones yielded %d bits, want %d", seen, count)
+	}
+	for range v.Ones {
+		seen++
+		break
+	}
+	if seen != count+1 {
+		t.Fatalf("Ones kept yielding after break")
+	}
 }

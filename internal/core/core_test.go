@@ -408,12 +408,46 @@ func TestAllBaselineKindsRun(t *testing.T) {
 	}
 }
 
+// TestDynamicRepositoryExtension pins Section 5.5 against a rebuild: after
+// AddSamples, imputed distributions and emitted pairs equal those of a
+// Shared prepared from scratch over the extended repository. The domain
+// indexes' neighbour-set memos are warm when the repository grows, and the
+// new sample's Symptom value is new to the domain and inside the dependent
+// interval of the rules that impute Symptom, so state surviving the
+// extension would leave that value out.
 func TestDynamicRepositoryExtension(t *testing.T) {
 	f := newFixture(t, 41, 30, 0, 0)
 	sh := f.shared
+	const symptom = 1
+	var probes []*tuple.Record
+	for i := 0; i < 16; i++ {
+		dz := diseases[i%len(diseases)]
+		vals := []string{[]string{"male", "female"}[i/2%2], tuple.Missing, dz.diagnosis, dz.treatment}
+		if i >= 8 {
+			vals[3] = tuple.Missing
+		}
+		probes = append(probes, tuple.MustRecord(testSchema, fmt.Sprintf("q%02d", i), i/4%2, int64(i), vals))
+	}
+	step, err := NewStep(sh, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range probes {
+		step.Impute(q)
+	}
+	if sh.DomIdx[symptom].MemoisedSets() == 0 {
+		t.Fatal("fixture: imputing the probes memoised no Symptom neighbour set")
+	}
+
+	// Every repository Symptom drops one of the disease's words; all five is
+	// new, and 0.2 away from each four-word diabetes value.
+	const allFive = "thirst weight loss blurred vision"
+	if sh.Repo.Domain(symptom).Lookup(allFive) != -1 {
+		t.Fatalf("fixture: %q is already in the domain", allFive)
+	}
 	before := sh.DRIdx.Len()
 	extra := tuple.MustRecord(testSchema, "dyn1", 0, 0,
-		[]string{"male", "thirst weight loss vision", "diabetes mellitus", "insulin diet"})
+		[]string{"male", allFive, "diabetes mellitus", "insulin diet"})
 	cfg := DefaultPrepareConfig([]string{"diabetes", "flu"})
 	if err := sh.AddSamples(true, cfg.Detect, extra); err != nil {
 		t.Fatal(err)
@@ -424,14 +458,74 @@ func TestDynamicRepositoryExtension(t *testing.T) {
 	if sh.Repo.Len() != 31 {
 		t.Fatal("repository not extended")
 	}
-	// The processor still works after the refresh.
+
+	rebuilt, err := repository.Build(testSchema, sh.Repo.Samples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Selection = sh.Sel
+	fresh, err := Prepare(rebuilt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshStep, err := NewStep(fresh, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawNew := false
+	for _, q := range probes {
+		got, _ := step.Impute(q)
+		want, _ := freshStep.Impute(q)
+		for j := range want.Dists {
+			g, w := got.Dists[j].Cands, want.Dists[j].Cands
+			if len(g) != len(w) {
+				t.Fatalf("%s attr %d: %d candidates after AddSamples, %d from a fresh Prepare", q.RID, j, len(g), len(w))
+			}
+			for i := range w {
+				if g[i].Text != w[i].Text || g[i].P != w[i].P {
+					t.Fatalf("%s attr %d candidate %d: {%q %v} after AddSamples, {%q %v} from a fresh Prepare",
+						q.RID, j, i, g[i].Text, g[i].P, w[i].Text, w[i].P)
+				}
+				sawNew = sawNew || (j == symptom && w[i].Text == allFive)
+			}
+		}
+	}
+	if !sawNew {
+		t.Fatalf("fixture: no probe has %q as a Symptom candidate, so the extension is not observable", allFive)
+	}
+
 	ter, err := NewProcessor(sh, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(3))
-	ter.Advance(f.record(r, 0, 0, diseases[0], 1))
-	ter.Advance(f.record(r, 1, 1, diseases[0], 0))
+	ref, err := NewProcessor(fresh, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitted := 0
+	for _, q := range probes {
+		got, err := ter.Advance(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Advance(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d pairs after AddSamples, %d from a fresh Prepare", q.RID, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Key() != want[i].Key() || got[i].Prob != want[i].Prob {
+				t.Fatalf("%s pair %d: %v %v after AddSamples, %v %v from a fresh Prepare",
+					q.RID, i, got[i].Key(), got[i].Prob, want[i].Key(), want[i].Prob)
+			}
+		}
+		emitted += len(want)
+	}
+	if emitted == 0 {
+		t.Fatal("fixture: the probes emit no pair")
+	}
 }
 
 func TestBaselineKindString(t *testing.T) {

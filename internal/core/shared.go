@@ -126,11 +126,22 @@ func Prepare(repo *repository.Repository, cfg PrepareConfig) (*Shared, error) {
 	return sh, nil
 }
 
-// AddSamples extends the repository with new complete samples and
-// incrementally updates the DR-index and domain indexes (the dynamic
-// repository extension of Section 5.5). Rule sets and CDD-indexes are
-// refreshed by re-detection when revalidate is true (the paper's
-// delete-and-extend rule maintenance, applied as a batch).
+// NeighbourSets returns how many neighbour sets the domain indexes have
+// memoised so far (the terids_domain_neighbour_sets gauge).
+func (sh *Shared) NeighbourSets() int {
+	n := 0
+	for _, idx := range sh.DomIdx {
+		n += idx.MemoisedSets()
+	}
+	return n
+}
+
+// AddSamples extends the repository with new complete samples, adds them to
+// the DR-index and rebuilds the domain indexes, which discards the neighbour
+// sets memoised over the old domains (the dynamic repository extension of
+// Section 5.5). Rule sets and CDD-indexes are refreshed by re-detection when
+// revalidate is true (the paper's delete-and-extend rule maintenance, applied
+// as a batch).
 func (sh *Shared) AddSamples(revalidate bool, detect rules.DetectConfig, samples ...*tuple.Record) error {
 	if err := sh.Repo.Add(samples...); err != nil {
 		return err

@@ -54,13 +54,14 @@ func (s *Step) Impute(r *tuple.Record) (*tuple.Imputed, metrics.Breakdown) {
 	}
 	im := &tuple.Imputed{R: r, Dists: make([]tuple.AttrDist, r.D())}
 	var sw metrics.Stopwatch
+	var applicable []*rules.Rule // one slice across the tuple's missing attributes
 	for j := 0; j < r.D(); j++ {
 		if !r.IsMissing(j) {
 			im.Dists[j] = tuple.Point(r.Value(j), r.Tokens(j))
 			continue
 		}
 		sw.Start()
-		var applicable []*rules.Rule
+		applicable = applicable[:0]
 		s.sh.CDDIdx[j].Applicable(r, func(rule *rules.Rule) bool {
 			applicable = append(applicable, rule)
 			return true

@@ -44,32 +44,27 @@ func FailedCandidate() tuple.AttrDist {
 
 // Accumulator gathers candidate-value frequencies for one attribute across
 // rules and samples, then emits the normalized distribution of Equation 4.
-// It memoizes per-(sample value, dependent interval) candidate sets, and
-// optionally accelerates domain range queries with a pivot index.
+// With a pivot index the candidate sets come from the index's memo, which
+// outlives the accumulator; without one each is a linear domain scan.
 type Accumulator struct {
 	dom *repository.Domain
 	idx *repository.Index
 	// freq[v] is the count of domain value v; mass is the sum of all
-	// counts. Counts are whole numbers, so both are exact.
-	freq  []float64
-	mass  float64
-	cache map[candKey][]int
-}
-
-type candKey struct {
-	valIdx         int
-	depMin, depMax float64
+	// counts. Counts are whole numbers, so both are exact and independent
+	// of the order samples and candidates are added in.
+	freq []float64
+	mass float64
 }
 
 // NewAccumulator creates an accumulator over dom; idx may be nil (linear
-// domain scans) or a pivot index over dom (triangle-inequality accelerated
-// scans). Both produce identical results.
+// domain scans, the unindexed reference) or a pivot index over dom
+// (memoised, triangle-inequality accelerated scans). Both produce identical
+// results.
 func NewAccumulator(dom *repository.Domain, idx *repository.Index) *Accumulator {
 	return &Accumulator{
-		dom:   dom,
-		idx:   idx,
-		freq:  make([]float64, dom.Len()),
-		cache: make(map[candKey][]int),
+		dom:  dom,
+		idx:  idx,
+		freq: make([]float64, dom.Len()),
 	}
 }
 
@@ -80,17 +75,13 @@ func NewAccumulator(dom *repository.Domain, idx *repository.Index) *Accumulator 
 //
 //terids:hotpath
 func (a *Accumulator) AddSample(sampleValIdx int, depMin, depMax float64) {
-	key := candKey{sampleValIdx, depMin, depMax}
-	cands, ok := a.cache[key]
-	if !ok {
-		toks := a.dom.Value(sampleValIdx).Toks
-		if a.idx != nil {
-			cands = a.idx.Range(toks, depMin, depMax)
-		} else {
-			cands = a.dom.RangeByDistance(toks, depMin, depMax)
-		}
-		a.cache[key] = cands
+	if a.idx != nil {
+		cands := a.idx.Neighbours(sampleValIdx, depMin, depMax)
+		cands.AddTo(a.freq)
+		a.mass += float64(cands.Len())
+		return
 	}
+	cands := a.dom.RangeByDistance(a.dom.Value(sampleValIdx).Toks, depMin, depMax)
 	for _, c := range cands {
 		a.freq[c]++
 	}

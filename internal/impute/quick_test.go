@@ -73,26 +73,39 @@ func TestQuickImputationDistributionsNormalized(t *testing.T) {
 }
 
 // TestQuickAccumulatorCacheConsistency verifies the memoized candidate sets
-// equal fresh computations.
+// equal fresh computations: one index serves every trial, so later trials
+// hit sets earlier ones left in its memo.
 func TestQuickAccumulatorCacheConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(102))
 	repo := repoFixture(t)
 	dom := repo.Domain(2)
+	idx := dom.BuildIndex(repo.Sample(0).Tokens(2))
+	intervals := [][2]float64{{0, 0.4}, {0.25, 0.75}, {0.5, 1}, {1, 1}}
+	keys := map[[3]float64]bool{}
 	for trial := 0; trial < 200; trial++ {
-		acc := NewAccumulator(dom, nil)
 		vi := r.Intn(dom.Len())
 		lo := r.Float64() * 0.5
 		hi := lo + r.Float64()*0.5
-		acc.AddSample(vi, lo, hi)
-		acc.AddSample(vi, lo, hi) // cached path
+		if trial%2 == 0 {
+			iv := intervals[r.Intn(len(intervals))]
+			lo, hi = iv[0], iv[1]
+		}
+		keys[[3]float64{float64(vi), lo, hi}] = true
 		want := dom.RangeByDistance(dom.Value(vi).Toks, lo, hi)
 		wantFreq := make([]float64, dom.Len())
 		for _, w := range want {
 			wantFreq[w] = 2
 		}
-		if !slices.Equal(acc.freq, wantFreq) {
-			t.Fatalf("trial %d: counts %v, want %v", trial, acc.freq, wantFreq)
+		for _, acc := range []*Accumulator{NewAccumulator(dom, nil), NewAccumulator(dom, idx)} {
+			acc.AddSample(vi, lo, hi)
+			acc.AddSample(vi, lo, hi) // cached path
+			if !slices.Equal(acc.freq, wantFreq) || acc.mass != float64(2*len(want)) {
+				t.Fatalf("trial %d (indexed %v): counts %v mass %v, want %v", trial, acc.idx != nil, acc.freq, acc.mass, wantFreq)
+			}
 		}
+	}
+	if n := idx.MemoisedSets(); n != len(keys) {
+		t.Fatalf("%d memoised sets for %d distinct keys", n, len(keys))
 	}
 }
 
@@ -119,7 +132,9 @@ func referenceDistribution(a *Accumulator, cfg Config) tuple.AttrDist {
 // TestQuickDistributionMatchesReference checks the top-k selection against
 // the build-all, sort and truncate reference: same candidates, same order,
 // and bit-identical probabilities, for no cap, caps below, at and above the
-// candidate count, and an accumulator nothing was added to.
+// candidate count, and an accumulator nothing was added to. An accumulator
+// over a pivot index is fed the same samples and must emit the same
+// distributions, == on every probability.
 func TestQuickDistributionMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(103))
 	sch := tuple.MustSchema("a")
@@ -138,22 +153,32 @@ func TestQuickDistributionMatchesReference(t *testing.T) {
 		}
 		dom := repo.Domain(0)
 		acc := NewAccumulator(dom, nil)
+		indexed := NewAccumulator(dom, dom.BuildIndex(dom.Value(r.Intn(dom.Len())).Toks))
 		// Few samples leave many equal counts, so the text tie-break decides
-		// the cut; many samples spread the counts out.
-		for n := r.Intn(12); n > 0; n-- {
+		// the cut; many samples spread the counts out. Intervals come from a
+		// small pool, as a rule set's do, so the index's memo gets hits.
+		var pool [3][2]float64
+		for i := range pool {
 			lo := r.Float64() * 0.6
-			acc.AddSample(r.Intn(dom.Len()), lo, lo+r.Float64()*0.6)
+			pool[i] = [2]float64{lo, lo + r.Float64()*0.6}
+		}
+		for n := r.Intn(12); n > 0; n-- {
+			v, iv := r.Intn(dom.Len()), pool[r.Intn(len(pool))]
+			acc.AddSample(v, iv[0], iv[1])
+			indexed.AddSample(v, iv[0], iv[1])
 		}
 		for _, k := range []int{-1, 0, 1, 2, 3, 6, dom.Len(), dom.Len() + 5} {
 			cfg := Config{MaxCandidates: k}
-			got, want := acc.Distribution(cfg), referenceDistribution(acc, cfg)
-			if len(got.Cands) != len(want.Cands) {
-				t.Fatalf("trial %d cap %d: %d candidates, reference %d", trial, k, len(got.Cands), len(want.Cands))
-			}
-			for i := range want.Cands {
-				g, w := got.Cands[i], want.Cands[i]
-				if g.Text != w.Text || g.P != w.P || !g.Toks.Equal(w.Toks) {
-					t.Fatalf("trial %d cap %d: candidate %d = {%q %v}, reference {%q %v}", trial, k, i, g.Text, g.P, w.Text, w.P)
+			want := referenceDistribution(acc, cfg)
+			for _, got := range []tuple.AttrDist{acc.Distribution(cfg), indexed.Distribution(cfg)} {
+				if len(got.Cands) != len(want.Cands) {
+					t.Fatalf("trial %d cap %d: %d candidates, reference %d", trial, k, len(got.Cands), len(want.Cands))
+				}
+				for i := range want.Cands {
+					g, w := got.Cands[i], want.Cands[i]
+					if g.Text != w.Text || g.P != w.P || !g.Toks.Equal(w.Toks) {
+						t.Fatalf("trial %d cap %d: candidate %d = {%q %v}, reference {%q %v}", trial, k, i, g.Text, g.P, w.Text, w.P)
+					}
 				}
 			}
 		}

@@ -7,7 +7,9 @@ package repository
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
+	"terids/internal/bitvec"
 	"terids/internal/tokens"
 	"terids/internal/tuple"
 )
@@ -149,11 +151,65 @@ func (d *Domain) RangeByDistance(from tokens.Set, min, max float64) []int {
 // Jaccard distance to a pivot attribute value. Range queries use the
 // triangle inequality to narrow the scan window before verifying real
 // distances, the same conversion trick the DR-index uses (Section 5.1).
+//
+// An Index describes the domain as it was when BuildIndex ran, and it owns
+// the memo of neighbour sets computed over it. The repository is static
+// between Section 5.5 extensions, so a set depends only on its key; an
+// extension rebuilds the Index, which discards the memo with it.
 type Index struct {
 	dom   *Domain
 	pivot tokens.Set
 	order []int     // domain value indexes sorted by dist-to-pivot
 	dists []float64 // parallel to order
+
+	// memo[v] heads the list of neighbour sets computed so far for domain
+	// value v, one per distinct dependent interval the rule set has asked
+	// for. Sets are pushed by compare-and-swap and never change once
+	// published, so readers take no lock.
+	memo  []atomic.Pointer[Neighbours]
+	nSets atomic.Int64
+}
+
+// Neighbours is an immutable set of domain value indexes: the values whose
+// Jaccard distance to one value lies in one interval, as a bit vector over
+// the domain (|dom|/8 bytes).
+type Neighbours struct {
+	min, max float64
+	members  bitvec.Vector
+	n        int
+	next     *Neighbours // older sets of the same domain value
+}
+
+// Len returns the number of members.
+func (s *Neighbours) Len() int { return s.n }
+
+// Indexes returns the members in ascending (domain) order, nil when empty.
+func (s *Neighbours) Indexes() []int {
+	if s.n == 0 {
+		return nil
+	}
+	out := make([]int, 0, s.n)
+	for v := range s.members.Ones {
+		out = append(out, v)
+	}
+	return out
+}
+
+// AddTo adds one to counts[v] for every member v.
+func (s *Neighbours) AddTo(counts []float64) {
+	for v := range s.members.Ones {
+		counts[v]++
+	}
+}
+
+// find returns the set for [min, max] in the list s heads, or nil.
+func (s *Neighbours) find(min, max float64) *Neighbours {
+	for ; s != nil; s = s.next {
+		if s.min == min && s.max == max {
+			return s
+		}
+	}
+	return nil
 }
 
 // BuildIndex sorts the domain by distance to pivot.
@@ -163,6 +219,7 @@ func (d *Domain) BuildIndex(pivot tokens.Set) *Index {
 		pivot: pivot,
 		order: make([]int, len(d.values)),
 		dists: make([]float64, len(d.values)),
+		memo:  make([]atomic.Pointer[Neighbours], len(d.values)),
 	}
 	for i := range d.values {
 		idx.order[i] = i
@@ -178,34 +235,54 @@ func (d *Domain) BuildIndex(pivot tokens.Set) *Index {
 	return idx
 }
 
-// PivotDistance returns dist(value_i, pivot) for domain value i.
-func (idx *Index) PivotDistance(i int) float64 {
-	for pos, v := range idx.order {
-		if v == i {
-			return idx.dists[pos]
-		}
-	}
-	return -1
-}
-
-// Range returns the indexes of domain values whose Jaccard distance to from
-// lies in [min, max]. The pivot prefilter shrinks the verified candidate
-// window: by the triangle inequality every answer v satisfies
+// scan marks the domain values whose Jaccard distance to from lies in
+// [min, max]. The pivot prefilter shrinks the verified candidate window: by
+// the triangle inequality every answer v satisfies
 // |dist(v,pivot) − dist(from,pivot)| <= max.
-func (idx *Index) Range(from tokens.Set, min, max float64) []int {
-	if len(idx.order) == 0 {
-		return nil
-	}
+func (idx *Index) scan(from tokens.Set, min, max float64) *Neighbours {
+	s := &Neighbours{min: min, max: max, members: bitvec.New(len(idx.order))}
 	delta := tokens.JaccardDistance(from, idx.pivot)
 	lo := sort.SearchFloat64s(idx.dists, delta-max)
-	var out []int
 	for pos := lo; pos < len(idx.order) && idx.dists[pos] <= delta+max; pos++ {
 		v := idx.order[pos]
 		dist := tokens.JaccardDistance(from, idx.dom.values[v].Toks)
 		if dist >= min && dist <= max {
-			out = append(out, v)
+			s.members.Set(v)
+			s.n++
 		}
 	}
-	sort.Ints(out)
-	return out
+	return s
 }
+
+// Range returns, in ascending order, the indexes of domain values whose
+// Jaccard distance to from lies in [min, max].
+func (idx *Index) Range(from tokens.Set, min, max float64) []int {
+	return idx.scan(from, min, max).Indexes()
+}
+
+// Neighbours returns the set Range(Value(v).Toks, min, max) for domain value
+// v. The first request for a key computes it; every later one, from any
+// goroutine, gets that same set back.
+func (idx *Index) Neighbours(v int, min, max float64) *Neighbours {
+	slot := &idx.memo[v]
+	head := slot.Load()
+	if s := head.find(min, max); s != nil {
+		return s
+	}
+	s := idx.scan(idx.dom.values[v].Toks, min, max)
+	for {
+		s.next = head
+		if slot.CompareAndSwap(head, s) {
+			idx.nSets.Add(1)
+			return s
+		}
+		// Another goroutine pushed first; its set may be for this key.
+		head = slot.Load()
+		if won := head.find(min, max); won != nil {
+			return won
+		}
+	}
+}
+
+// MemoisedSets returns how many neighbour sets the index holds.
+func (idx *Index) MemoisedSets() int { return int(idx.nSets.Load()) }
