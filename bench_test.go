@@ -485,11 +485,11 @@ func BenchmarkDeepReplay(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(f.stream))/b.Elapsed().Seconds(), "tuples/s")
 }
 
-// BenchmarkRebalance measures the online rebalance end to end — barrier
-// drain, checkpoint capture, state teardown, weighted restore at the new
-// layout, pipeline resume — on a loaded engine, alternating K=4 ↔ K=8. This
-// is the pause an adaptive rebalance inflicts on a live stream; reports the
-// resident count moved per rebalance alongside the latency.
+// BenchmarkRebalance measures the online reshard end to end — barrier
+// drain, checkpoint capture, state teardown, re-install at the new K,
+// pipeline resume — on a loaded engine, alternating K=4 ↔ K=8. This is the
+// pause POST /rebalance inflicts on a live stream; reports the resident
+// count moved per reshard alongside the latency.
 func BenchmarkRebalance(b *testing.B) {
 	f := loadEngineFixture(b)
 	eng, err := engine.New(f.sh, engine.Config{Core: f.cfg, Shards: 4})
@@ -502,7 +502,7 @@ func BenchmarkRebalance(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// Drain before timing, so the first rebalance's barrier does not charge
+	// Drain before timing, so the first reshard's barrier does not charge
 	// the whole submitted stream to the measurement.
 	if _, err := eng.Checkpoint(); err != nil {
 		b.Fatal(err)
@@ -518,7 +518,7 @@ func BenchmarkRebalance(b *testing.B) {
 		if i%2 == 1 {
 			k = 4
 		}
-		if err := eng.Rebalance(eng.BalancedLayout(k)); err != nil {
+		if err := eng.Reshard(k); err != nil {
 			b.Fatal(err)
 		}
 	}

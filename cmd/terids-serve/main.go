@@ -25,11 +25,11 @@
 //	                writes it server-side under -checkpoint-dir (disabled
 //	                unless that flag is set), otherwise the binary
 //	                checkpoint is the response body.
-//	POST /rebalance admin trigger for an online shard rebalance (barrier →
-//	                weighted layout → resume); ?shards=K changes the shard
-//	                count, ?weighted=0 uses the uniform modulo layout.
+//	POST /rebalance admin trigger for an online reshard (barrier →
+//	                re-install → resume); ?shards=K changes the shard
+//	                count, none re-installs at the current one.
 //	GET  /stats     engine + server counters as JSON, including per-shard
-//	                residents, the imbalance ratio, and rebalance counters.
+//	                residents, the imbalance ratio, and reshard counters.
 //	GET  /metrics   Prometheus text exposition: per-stage latency histograms
 //	                (impute, route, shard ER, merge, WAL, checkpoint, deep
 //	                replay) with p50/p95/p99 quantile gauges, plus counters.
@@ -40,7 +40,7 @@
 //	GET  /readyz    readiness (503 with a reason body — "starting",
 //	                "recovering", "rebalancing" — until recovery replay
 //	                finishes and the engine is serving traffic).
-//	GET  /events    the lifecycle event journal as NDJSON — rebalances,
+//	GET  /events    the lifecycle event journal as NDJSON — reshards,
 //	                checkpoints, WAL rotation/truncation, deep replays,
 //	                throttle episodes, SLO transitions, recovery — oldest
 //	                first; ?from=seq resumes from a cursor.
@@ -92,11 +92,10 @@
 // lines get 429 with Retry-After). -restore <file> boots the engine from an
 // explicit checkpoint instead (mutually exclusive with -wal-dir);
 // -checkpoint-on-exit <file> makes SIGINT/SIGTERM drain the pipeline and
-// write a final checkpoint before exiting. -rebalance-threshold plus
-// -rebalance-interval enable the adaptive skew monitor: when topic skew
-// keeps the most loaded shard over threshold × the per-shard mean, the
-// engine rebalances online (checkpoints carry the layout, so -wal-dir
-// recovery resumes balanced).
+// write a final checkpoint before exiting. Every windowed tuple resides in
+// grid partition fnv32a(RID) mod K, so shard load is balanced whatever the
+// stream's topic mix and there is nothing to tune; POST /rebalance changes K
+// online (checkpoints carry K, so -shards 0 recovery resumes at it).
 //
 // Read-path scale-out: -follow <dir> boots the process as a read-only
 // follower replica over another terids-serve's -wal-dir. It restores the
@@ -180,8 +179,6 @@ func main() {
 		ckptDelta   = flag.Int("checkpoint-delta", 0, "delta checkpoints written between full snapshots under -wal-dir (0 = always full)")
 		rateLimit   = flag.Float64("rate-limit", 0, "per-stream ingest rate limit in tuples/sec (0 = unlimited; over-limit gets 429 + Retry-After)")
 		rateBurst   = flag.Int("rate-burst", 0, "per-stream token-bucket burst (0 = one second's worth of -rate-limit)")
-		rebThresh   = flag.Float64("rebalance-threshold", 0, "imbalance ratio (max shard residents / mean) arming an automatic online rebalance (0 = disabled; requires -rebalance-interval)")
-		rebEvery    = flag.Duration("rebalance-interval", 0, "skew monitor sampling period (required with -rebalance-threshold)")
 		debugAddr   = flag.String("debug-addr", "", "separate listener for net/http/pprof, expvar, and /metrics (empty = disabled)")
 		traceEvery  = flag.Int("trace-sample", 0, "record every Nth arrival's full stage timeline for GET /trace (0 = disabled)")
 		ingestBatch = flag.Int("ingest-batch", 64, "NDJSON arrivals /ingest groups into one engine submission (1 = submit per line)")
@@ -205,11 +202,6 @@ func main() {
 		WALDir: *walDir, Follow: *follow, Restore: *restore,
 		CheckpointInterval: *ckptEvery, CheckpointKeep: *ckptKeep,
 		CheckpointDelta: *ckptDelta,
-	}).Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if err := (cliutil.Rebalance{
-		Threshold: *rebThresh, Interval: *rebEvery, Follower: *follow != "",
 	}).Validate(); err != nil {
 		log.Fatal(err)
 	}
@@ -401,9 +393,6 @@ func main() {
 		QueueDepth:  *queue,
 		OnResult:    srv.onResult,
 		TraceSample: *traceEvery,
-		Rebalance: engine.RebalanceConfig{
-			Threshold: *rebThresh, Interval: *rebEvery, Logf: log.Printf,
-		},
 	}
 	var eng *engine.Engine
 	var dur *engine.Durable
@@ -459,10 +448,9 @@ func main() {
 	obs.Default().Gauge("terids_build_info",
 		"Build and topology identity; the value is always 1.",
 		obs.Labels{
-			"version":      version,
-			"go_version":   runtime.Version(),
-			"shards":       strconv.Itoa(eng.Stats().Shards),
-			"layout_slots": strconv.Itoa(engine.LayoutSlots),
+			"version":    version,
+			"go_version": runtime.Version(),
+			"shards":     strconv.Itoa(eng.Stats().Shards),
 		}).Set(1)
 
 	if fol == nil {

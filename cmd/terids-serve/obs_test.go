@@ -274,10 +274,13 @@ func TestServeTraceEndpoint(t *testing.T) {
 		if int64(tr["seq"].(float64)) != int64(i) {
 			t.Fatalf("trace line %d has seq %v (oldest-first order broken)", i, tr["seq"])
 		}
-		for _, key := range []string{"rid", "impute_queue_wait_ns", "impute_ns", "route_ns", "merge_hold_ns", "total_ns", "pairs"} {
+		for _, key := range []string{"rid", "home_shard", "impute_queue_wait_ns", "impute_ns", "route_ns", "merge_hold_ns", "total_ns", "pairs"} {
 			if _, ok := tr[key]; !ok {
 				t.Fatalf("trace line %d missing %q: %s", i, key, line)
 			}
+		}
+		if home := tr["home_shard"].(float64); home != 0 && home != 1 {
+			t.Fatalf("trace line %d has home_shard %v on a 2-shard engine: %s", i, home, line)
 		}
 		if tr["total_ns"].(float64) <= 0 {
 			t.Fatalf("trace line %d has non-positive total_ns: %s", i, line)
@@ -408,8 +411,8 @@ func TestServeEventsEndpoint(t *testing.T) {
 	if start == nil || done == nil {
 		t.Fatalf("events missing rebalance_start/rebalance_done:\n%s", body)
 	}
-	if trig, _ := start.Fields["trigger"].(string); trig != "manual" {
-		t.Fatalf("rebalance_start trigger %v, want manual", start.Fields["trigger"])
+	if start.Fields["k_from"].(float64) != 2 {
+		t.Fatalf("rebalance_start k_from %v, want 2", start.Fields["k_from"])
 	}
 	if done.Fields["k_to"].(float64) != 4 {
 		t.Fatalf("rebalance_done k_to %v, want 4", done.Fields["k_to"])

@@ -873,12 +873,11 @@ func (s *server) handleSnapshot(rw http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// handleRebalance is the admin trigger for an online shard rebalance:
-// barrier-checkpoint, restore under a new layout, resume — ingest blocks for
-// the duration, results are never lost or duplicated. ?shards=K changes the
-// shard count (default: keep it); the layout is weighted by the observed
-// per-topic resident load unless ?weighted=0 asks for the uniform modulo
-// table. Responds with the before/after imbalance and the barrier latency.
+// handleRebalance is the admin trigger for an online reshard:
+// barrier-checkpoint, re-install at the new shard count, resume — ingest
+// blocks for the duration, results are never lost or duplicated. ?shards=K
+// changes the shard count (default: keep it). Responds with the before/after
+// imbalance and the barrier latency.
 func (s *server) handleRebalance(rw http.ResponseWriter, req *http.Request) {
 	if s.refuseOnFollower(rw) {
 		return
@@ -894,14 +893,8 @@ func (s *server) handleRebalance(rw http.ResponseWriter, req *http.Request) {
 		}
 		k = v
 	}
-	var layout engine.Layout
-	if req.URL.Query().Get("weighted") == "0" {
-		layout = engine.DefaultLayout(k)
-	} else {
-		layout = s.eng.BalancedLayout(k)
-	}
 	start := time.Now()
-	if err := s.eng.Rebalance(layout); err != nil {
+	if err := s.eng.Reshard(k); err != nil {
 		http.Error(rw, err.Error(), http.StatusServiceUnavailable)
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -401,15 +402,26 @@ func getStats(t *testing.T, ts *httptest.Server) map[string]any {
 // must wait for it — never stream results below the cursor.
 func TestServeReplayFromFutureSeq(t *testing.T) {
 	f := loadServeFixture(t)
-	_, ts := startServer(t, f, 2, 64, nil)
+	srv, ts := startServer(t, f, 2, 64, nil)
 	ingest(t, ts, f.stream[:20])
 
 	body := ndjson(t, f.stream[20:40])
 	go func() {
-		time.Sleep(300 * time.Millisecond)
-		// Results 20..39 arrive while the replay below is already waiting
-		// at cursor 25. (No test helpers here: t.Fatal is not allowed off
-		// the test goroutine.)
+		// Results 20..39 are ingested only once the replay below has
+		// subscribed at cursor 25, so it is the wait path — not a ring that
+		// already holds them — that serves it. (No test helpers here:
+		// t.Fatal is not allowed off the test goroutine.)
+		subscribed := func() bool {
+			srv.mu.Lock()
+			defer srv.mu.Unlock()
+			return len(srv.subs) > 0
+		}
+		for deadline := time.Now().Add(30 * time.Second); !subscribed(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Error("the /results reader never subscribed")
+				return
+			}
+		}
 		resp, err := http.Post(ts.URL+"/ingest?wait=1", "application/x-ndjson", strings.NewReader(body))
 		if err != nil {
 			t.Error(err)
@@ -814,9 +826,9 @@ func TestServeDeepReplayDepthAndPrunedCoverage(t *testing.T) {
 	srv.replayDepth = 0
 }
 
-// TestServeRebalanceEndpoint drives the admin rebalance over HTTP: shard
-// count change + weighted layout mid-ingest, surfaced counters in /stats,
-// parameter validation, and — the part that matters — a final entity set
+// TestServeRebalanceEndpoint drives the admin reshard over HTTP: shard
+// count change mid-ingest, surfaced counters in /stats, parameter
+// validation, and — the part that matters — a final entity set
 // identical to the uninterrupted single-threaded reference.
 func TestServeRebalanceEndpoint(t *testing.T) {
 	f := loadServeFixture(t)
@@ -850,8 +862,8 @@ func TestServeRebalanceEndpoint(t *testing.T) {
 		t.Fatalf("rebalance reported duration %v ms", out.DurationMS)
 	}
 
-	// Ingest continues on the rebalanced engine; the merged output must be
-	// untouched by the layout change.
+	// Ingest continues on the resharded engine; the merged output must be
+	// untouched by the change of K.
 	ingest(t, ts, f.stream[mid:])
 	if _, err := srv.eng.Checkpoint(); err != nil { // barrier = drain
 		t.Fatal(err)
@@ -898,6 +910,28 @@ func TestServeRebalanceEndpoint(t *testing.T) {
 	}
 	if got := reb["rebalances"].(float64); got != 1 {
 		t.Fatalf("/stats rebalance.rebalances %v, want 1", got)
+	}
+	if got := reb["last_seq"].(float64); got != float64(mid) {
+		t.Fatalf("/stats rebalance.last_seq %v, want %d", got, mid)
+	}
+	if got := reb["last_duration_ms"].(float64); got <= 0 {
+		t.Fatalf("/stats rebalance.last_duration_ms %v, want > 0", got)
+	}
+	if len(reb) != 3 {
+		t.Fatalf("/stats rebalance block %v, want exactly rebalances, last_seq, last_duration_ms", reb)
+	}
+
+	// No shards parameter re-installs at the current K.
+	resp, err = http.Post(ts.URL+"/rebalance", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || out.Shards != 4 || out.Seq != int64(len(f.stream)) || out.Rebalances != 2 {
+		t.Fatalf("POST /rebalance: status %d reply %+v, want shards=4 seq=%d rebalances=2", resp.StatusCode, out, len(f.stream))
 	}
 
 	// Parameter validation: shard counts outside [1, MaxShards] are 400s.

@@ -12,9 +12,8 @@
 // checkpoint and skips the arrivals it already covers (same dataset flags
 // and seed regenerate the same stream, so the suffix lines up exactly).
 //
-// With -auto-shards the engine sizes the shard count itself and adaptively
-// rebalances when topic skew concentrates residents on few shards (mutually
-// exclusive with an explicit -shards).
+// -shards K > 1 runs the concurrent engine over K grid partitions; -shards 0
+// lets the engine size K itself (GOMAXPROCS, capped at 8).
 //
 // For crash-safe runs, -wal <dir> logs every arrival to a write-ahead log
 // before processing it and auto-resumes: rerunning the same command after a
@@ -59,8 +58,7 @@ func main() {
 		scale     = flag.Float64("scale", 1.0, "dataset scale factor")
 		seed      = flag.Int64("seed", 1, "generation seed")
 		max       = flag.Int("max", 0, "max arrivals to process (0 = all)")
-		shards    = flag.Int("shards", 1, "ER-grid shards (>1 runs the concurrent engine)")
-		autoSh    = flag.Bool("auto-shards", false, "auto-size the shard count and adaptively rebalance under topic skew (mutually exclusive with -shards)")
+		shards    = flag.Int("shards", 1, "ER-grid shards (>1 runs the concurrent engine, 0 = the engine auto-sizes)")
 		keywords  = flag.String("keywords", "", "comma-separated query keywords (default: the profile's topics)")
 		verbose   = flag.Bool("v", false, "print every matching pair as it is found")
 		ckptOut   = flag.String("checkpoint", "", "write the final operator state to this file when the stream ends")
@@ -82,15 +80,6 @@ func main() {
 		WALDir: *walDir, Restore: *restore,
 		CheckpointInterval: *ckptEvery, CheckpointKeep: 2,
 	}).Validate(); err != nil {
-		log.Fatal(err)
-	}
-	shardsSet := false
-	flag.Visit(func(fl *flag.Flag) {
-		if fl.Name == "shards" {
-			shardsSet = true
-		}
-	})
-	if err := (cliutil.Rebalance{AutoShards: *autoSh, ShardsSet: shardsSet}).Validate(); err != nil {
 		log.Fatal(err)
 	}
 	if err := (cliutil.Obs{DebugAddr: *debugAddr}).Validate(); err != nil {
@@ -193,22 +182,10 @@ func main() {
 		pruneStat metrics.PruneStats
 		elapsed   time.Duration
 	)
-	if *shards > 1 || *walDir != "" || *autoSh {
-		engShards := *shards
-		var rebCfg engine.RebalanceConfig
-		if *autoSh {
-			// Auto-sharding: let the engine size K (GOMAXPROCS, capped) and
-			// run the skew monitor so a topic-skewed stream re-spreads its
-			// residents mid-run.
-			engShards = 0
-			rebCfg = engine.RebalanceConfig{
-				Threshold: 1.5, Interval: 100 * time.Millisecond, Logf: log.Printf,
-			}
-		}
+	if *shards != 1 || *walDir != "" {
 		engCfg := engine.Config{
-			Core:      cfg,
-			Shards:    engShards,
-			Rebalance: rebCfg,
+			Core:   cfg,
+			Shards: *shards,
 			OnResult: func(res engine.Result) {
 				for _, p := range res.Pairs {
 					emitted[p.Key()] = true
@@ -295,10 +272,6 @@ func main() {
 		}
 		fmt.Printf(" (imbalance %.2f)\n", st.Imbalance)
 		printStageLatencies()
-		if *autoSh {
-			fmt.Printf("rebalancer: %d rebalances (%d automatic, %d skipped)\n",
-				st.Rebalance.Rebalances, st.Rebalance.AutoRebalances, st.Rebalance.Skipped)
-		}
 		if *ckptOut != "" {
 			c, err := eng.Checkpoint()
 			if err != nil {

@@ -79,60 +79,6 @@ func (p Params) Validate() error {
 	return errors.Join(errs...)
 }
 
-// Rebalance are the adaptive-rebalancing flags shared by the terids CLIs.
-// The combinations are constrained: the skew monitor needs both a trigger
-// ratio and a sampling period, and auto-sized sharding contradicts an
-// explicitly pinned shard count.
-type Rebalance struct {
-	// Threshold is -rebalance-threshold: the imbalance ratio (most loaded
-	// shard over the per-shard mean) that arms an automatic rebalance.
-	// 0 disables the monitor; anything else must be >= 1 to be meaningful.
-	Threshold float64
-	// Interval is -rebalance-interval: the monitor's sampling period
-	// (required alongside Threshold).
-	Interval time.Duration
-	// AutoShards is -auto-shards (terids): auto-size the shard count and
-	// enable adaptive rebalancing with defaults.
-	AutoShards bool
-	// ShardsSet reports that the user passed -shards explicitly (commands
-	// without -auto-shards pass false).
-	ShardsSet bool
-	// Follower reports that the process runs as a read-only replica
-	// (-follow): the skew monitor is meaningless there — the follower
-	// adopts the writer's layout from its checkpoints instead of making
-	// local placement decisions.
-	Follower bool
-}
-
-// Validate checks the rebalance flag combinations, joining all violations
-// into one error.
-func (r Rebalance) Validate() error {
-	var errs []error
-	if r.Threshold < 0 || (r.Threshold > 0 && r.Threshold < 1) {
-		errs = append(errs, fmt.Errorf("-rebalance-threshold %v, need >= 1 (0 = disabled): it is a max/mean ratio", r.Threshold))
-	}
-	if r.Interval < 0 {
-		errs = append(errs, fmt.Errorf("-rebalance-interval %v, need >= 0", r.Interval))
-	}
-	if r.Threshold > 0 && r.Interval == 0 {
-		errs = append(errs, errors.New(
-			"-rebalance-threshold requires -rebalance-interval: the monitor needs a sampling period"))
-	}
-	if r.Interval > 0 && r.Threshold == 0 {
-		errs = append(errs, errors.New(
-			"-rebalance-interval requires -rebalance-threshold: a period without a trigger ratio does nothing"))
-	}
-	if r.AutoShards && r.ShardsSet {
-		errs = append(errs, errors.New(
-			"-auto-shards and -shards are mutually exclusive: auto-sharding picks and adapts the shard count itself"))
-	}
-	if r.Follower && (r.Threshold > 0 || r.Interval > 0) {
-		errs = append(errs, errors.New(
-			"-rebalance-threshold/-rebalance-interval are incompatible with -follow: a follower adopts the writer's layout from its checkpoints"))
-	}
-	return errors.Join(errs...)
-}
-
 // Durability are the WAL/checkpoint flags shared by the terids CLIs. The
 // combinations are constrained: a WAL directory carries its own checkpoints
 // and auto-recovers, so an explicit -restore alongside it is ambiguous, and

@@ -66,65 +66,6 @@ func TestValidateJoinsAllViolations(t *testing.T) {
 	}
 }
 
-// TestRebalanceAccepts covers every legal adaptive-rebalancing combination:
-// disabled, the full monitor setup, auto-sharding alone, and auto-sharding
-// with the monitor tuned explicitly.
-func TestRebalanceAccepts(t *testing.T) {
-	for _, r := range []Rebalance{
-		{},
-		{Threshold: 1, Interval: time.Second},
-		{Threshold: 2.5, Interval: 100 * time.Millisecond},
-		{AutoShards: true},
-		{AutoShards: true, Threshold: 1.5, Interval: time.Second},
-		{ShardsSet: true},
-		{ShardsSet: true, Threshold: 1.5, Interval: time.Second},
-	} {
-		if err := r.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v, want nil", r, err)
-		}
-	}
-}
-
-// TestRebalanceRejects is the flag-conflict matrix: sub-1 ratios, each half
-// of the threshold/interval pair without the other, negative periods, and
-// -auto-shards against an explicit -shards.
-func TestRebalanceRejects(t *testing.T) {
-	cases := []struct {
-		name string
-		r    Rebalance
-		want string
-	}{
-		{"threshold below one", Rebalance{Threshold: 0.5, Interval: time.Second}, "-rebalance-threshold"},
-		{"threshold negative", Rebalance{Threshold: -1, Interval: time.Second}, "-rebalance-threshold"},
-		{"threshold without interval", Rebalance{Threshold: 2}, "requires -rebalance-interval"},
-		{"interval without threshold", Rebalance{Interval: time.Second}, "requires -rebalance-threshold"},
-		{"interval negative", Rebalance{Threshold: 2, Interval: -time.Second}, "-rebalance-interval"},
-		{"auto-shards with explicit shards", Rebalance{AutoShards: true, ShardsSet: true}, "mutually exclusive"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.r.Validate()
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Validate(%+v) = %v, want mention of %q", tc.r, err, tc.want)
-			}
-		})
-	}
-}
-
-// TestRebalanceJoinsAllViolations: a maximally misconfigured invocation
-// reports every problem at once.
-func TestRebalanceJoinsAllViolations(t *testing.T) {
-	err := Rebalance{Threshold: 0.2, Interval: -time.Second, AutoShards: true, ShardsSet: true}.Validate()
-	if err == nil {
-		t.Fatal("all-bad rebalance flags validated")
-	}
-	for _, want := range []string{"-rebalance-threshold", "-rebalance-interval", "mutually exclusive"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error misses %q: %v", want, err)
-		}
-	}
-}
-
 // TestDurabilityAccepts covers every legal flag combination: durability off,
 // WAL without the background checkpointer, the full WAL+checkpointer setup,
 // and a plain -restore without a WAL.

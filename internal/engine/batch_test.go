@@ -88,7 +88,7 @@ func TestSubmitBatchRebalanceMidStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := eng.Rebalance(DefaultLayout(5)); err != nil {
+	if err := eng.Reshard(5); err != nil {
 		t.Fatal(err)
 	}
 	for off := half; off < len(f.stream); off += 16 {

@@ -117,7 +117,6 @@ func (d *Durable) DeepReplay(ctx context.Context, from, upTo, limit int64, emit 
 
 	cfg := d.engCfg
 	cfg.WAL = nil
-	cfg.Rebalance = RebalanceConfig{}
 	// The throwaway engine regenerates history; letting it publish stage
 	// metrics or traces would pollute the live distributions.
 	cfg.ObsOff = true

@@ -15,13 +15,12 @@
 // per-stream sliding windows (O(1) ring-buffer pushes — sequential state
 // that must see arrivals in order), computes expirations, and fans each
 // arrival out to every shard: candidates may reside anywhere, so resolution
-// is a broadcast, while residency (grid insertion) is routed by the hash of
-// the tuple's dominant topic, with a broadcast-residency path for tuples
-// whose topic distribution straddles shards (see topic.go). Each shard
-// resolves the query against its own partition concurrently with the other
-// shards; the merger joins the K partial results per arrival, restores
-// deterministic output order with a sequence-numbered reorder buffer, and
-// maintains the live entity set.
+// is a broadcast, while residency (grid insertion) goes to the one shard
+// fnv32a(RID) mod K names (see topic.go). Each shard resolves the query
+// against its own partition concurrently with the other shards; the merger
+// joins the K partial results per arrival, restores deterministic output
+// order with a sequence-numbered reorder buffer, and maintains the live
+// entity set.
 //
 // Determinism: for the same submission order, emitted pairs are identical —
 // order and probabilities included — to single-threaded core.Processor.
@@ -47,7 +46,6 @@ import (
 	"terids/internal/prune"
 	"terids/internal/snapshot"
 	"terids/internal/stream"
-	"terids/internal/tokens"
 	"terids/internal/tuple"
 	"terids/internal/wal"
 )
@@ -88,13 +86,10 @@ type Config struct {
 	// holds those sequences). The engine does not own the log: closing the
 	// engine leaves it open, and it must outlive the engine.
 	WAL *wal.Log
-	// Rebalance configures the adaptive skew monitor (see rebalance.go).
-	// The zero value disables it; manual Rebalance calls work regardless.
-	Rebalance RebalanceConfig
 	// Obs selects the registry the engine publishes its stage metrics into.
 	// Nil means obs.Default(), the process-wide registry /metrics serves.
 	Obs *obs.Registry
-	// Journal selects the event journal lifecycle events (rebalances,
+	// Journal selects the event journal lifecycle events (reshards,
 	// pipeline failure) are recorded into. Nil means obs.DefaultJournal(),
 	// the journal GET /events serves; ObsOff disables it with the rest of
 	// the instrumentation.
@@ -164,15 +159,12 @@ type item struct {
 	tr *Trace
 }
 
-// profileOut is the impute stage's product. homes always aliases one of the
-// engine's interned home slices (see topic.go) and must never be mutated.
+// profileOut is the impute stage's product.
 type profileOut struct {
-	im    *tuple.Imputed
-	prof  *prune.Profile
-	homes []int
-	// slot is the layout slot the arrival's residency is charged to (-1 for
-	// broadcast residents) — the rebalancer's movable unit of load.
-	slot int
+	im   *tuple.Imputed
+	prof *prune.Profile
+	// home is the shard the arrival resides in (see topic.go).
+	home int
 }
 
 // header is the router → merger side channel: per-arrival bookkeeping the
@@ -201,7 +193,7 @@ type Engine struct {
 	step *core.Step
 	cfg  Config
 	// autoImpute records that the caller left ImputeWorkers unset (<= 0), so
-	// the pool was defaulted to Shards. Rebalance keeps the two in lockstep
+	// the pool was defaulted to Shards. Reshard keeps the two in lockstep
 	// for auto-sized engines; an explicit ImputeWorkers stays fixed.
 	autoImpute bool
 
@@ -218,7 +210,7 @@ type Engine struct {
 	subMu  sync.Mutex
 	closed bool
 	// inflight tracks submitters between sequence assignment and pipeline
-	// injection; Close and Rebalance wait for them before closing imputeIn
+	// injection; Close and Reshard wait for them before closing imputeIn
 	// (an assigned sequence number MUST reach the pipeline, or the merger's
 	// reorder buffer would wait for it forever).
 	inflight sync.WaitGroup
@@ -230,11 +222,11 @@ type Engine struct {
 	// and merger's reorder buffers release from it.
 	startSeq int64
 
-	// stateMu guards the fields a Rebalance swaps out — shards, shardCh,
-	// layout, cfg.Shards, the pipeline channels, the windows — against
-	// concurrent readers outside the pipeline (Stats, Imbalance,
-	// BalancedLayout). Pipeline goroutines never take it: they are created
-	// after a swap completes and stopped before the next one begins.
+	// stateMu guards the fields a swap replaces — shards, shardCh,
+	// cfg.Shards, the pipeline channels, the windows — against concurrent
+	// readers outside the pipeline (Stats, Imbalance). Pipeline goroutines
+	// never take it: they are created after a swap completes and stopped
+	// before the next one begins.
 	stateMu sync.RWMutex
 
 	// The pipeline channels carry batches: submitBatch splits a batch into
@@ -249,7 +241,7 @@ type Engine struct {
 	hdrCh      chan []header
 	partials   chan partial
 	// shardScratch holds the router's per-shard batch under construction
-	// (router-owned; length tracks cfg.Shards across rebalances). A slot is
+	// (router-owned; length tracks cfg.Shards across reshards). A slot is
 	// nil after its batch is handed to the shard and refilled from the pool
 	// on the next routed run.
 	shardScratch [][]shardItem
@@ -263,38 +255,19 @@ type Engine struct {
 	shardPairsPool  *slicePool[shardPair]
 	walBufPool      *slicePool[wal.Entry]
 
-	// Interned topic tables (see topic.go): kwIDs holds the shared keywords
-	// in text order — keyword i owns bit i of every profile's KW vector —
-	// and kwSlots[i] caches keyword i's layout slot, hashed from its text
-	// (keywords are immutable for the engine's life); homeSingle[s] and
-	// homeAll are the shared, read-only home-shard slices homeShards
-	// returns, rebuilt whenever K changes.
-	kwIDs      []uint32
-	kwSlots    []int
-	homeSingle [][]int
-	homeAll    []int
-
 	imputeWG sync.WaitGroup
 	shardWG  sync.WaitGroup
 	mergeWG  sync.WaitGroup
 
-	// windows is the router-owned sequential stream state; live maps each
-	// resident RID (duplicate rejection) to the layout slot its residency is
-	// charged to (-1 for broadcast residents).
+	// windows is the router-owned sequential stream state; live is the set
+	// of resident RIDs (duplicate rejection).
 	windows  *stream.MultiWindow
 	timeWins []*stream.TimeWindow
-	live     map[string]int
+	live     map[string]struct{}
 
 	shards []*shard
-	// layout is the topic-hash slot → shard table (see rebalance.go);
-	// slotWeight counts single-home residents per slot (router-written,
-	// monitor-read), the weights BalancedLayout packs.
-	layout     []int
-	slotWeight []atomic.Int64
 
-	reb         rebState
-	monitorStop chan struct{}
-	monitorWG   sync.WaitGroup
+	reb rebState
 
 	// met is nil when Config.ObsOff is set — every stage guards its
 	// instrumentation with one pointer check. traces is nil unless
@@ -304,7 +277,7 @@ type Engine struct {
 	traces *obs.Ring[Trace]
 	jr     *obs.Journal
 
-	// rebalancing is set for the span of an online rebalance — the pause
+	// rebalancing is set for the span of an online state swap — the pause
 	// window during which /readyz reports not-ready.
 	rebalancing atomic.Bool
 
@@ -332,23 +305,17 @@ func New(sh *core.Shared, cfg Config) (*Engine, error) {
 // NewFromSnapshot builds and starts an engine holding checkpoint c's state —
 // taken at any shard count — resuming at its watermark; a nil c means
 // genesis, a fresh engine at sequence zero. Residency is re-derived from each
-// resident's recomputed profile under the new configuration's K', so
-// restoring at a different shard count reshards for free; output remains
-// byte-identical to an uninterrupted run because resolution never depends on
-// where a tuple resides.
-//
-// Layout adoption: a checkpoint taken after a rebalance carries its slot
-// table (snapshot format v2). When the configuration auto-sizes the shard
-// count (Shards == 0) the snapshot's K and table are adopted wholesale, so a
-// rebalanced deployment recovers balanced; an explicit Shards equal to the
-// snapshot's K adopts the table too; any other K falls back to the default
-// modulo layout at the requested K — always safe, placement being free.
+// resident's RID under the new configuration's K', so restoring at a
+// different shard count reshards for free; output remains byte-identical to
+// an uninterrupted run because resolution never depends on where a tuple
+// resides. When the configuration auto-sizes the shard count (Shards == 0)
+// the checkpoint's K is adopted, so a resharded deployment recovers at the K
+// it was running; a slot table found in an old checkpoint is ignored.
 //
 //terids:deterministic
 func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engine, error) {
-	carried, ok := checkpointLayout(c)
-	if ok && cfg.Shards == 0 {
-		cfg.Shards = carried.K
+	if cfg.Shards == 0 {
+		cfg.Shards = checkpointShards(c)
 	}
 	autoImpute := cfg.ImputeWorkers <= 0
 	cfg.fill()
@@ -365,15 +332,10 @@ func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engi
 			return nil, err
 		}
 	}
-	// The parts that outlive every state swap: the operator step, pools,
-	// instrumentation, and the interned keyword tables. Windows, shard grids,
-	// and stage channels are install's job.
-	e := &Engine{
-		step:       step,
-		cfg:        cfg,
-		autoImpute: autoImpute,
-		slotWeight: make([]atomic.Int64, LayoutSlots),
-	}
+	// The parts that outlive every state swap: the operator step, pools, and
+	// instrumentation. Windows, shard grids, and stage channels are install's
+	// job.
+	e := &Engine{step: step, cfg: cfg, autoImpute: autoImpute}
 	e.drained = sync.NewCond(&e.resultsMu)
 	e.ctx, e.cancel = context.WithCancel(context.Background())
 	if !cfg.ObsOff {
@@ -397,22 +359,12 @@ func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engi
 	e.partEntriesPool = newSlicePool[partialEntry](ps("partial_batch"))
 	e.shardPairsPool = newSlicePool[shardPair](ps("shard_pairs"))
 	e.walBufPool = newSlicePool[wal.Entry](ps("wal_entries"))
-	e.kwIDs = step.Shared().Keywords.SortedByText()
-	e.kwSlots = make([]int, len(e.kwIDs))
-	for i, kw := range e.kwIDs {
-		e.kwSlots[i] = slotOf(tokens.Text(kw))
-	}
 
-	l := DefaultLayout(cfg.Shards)
-	if ok && carried.K == cfg.Shards {
-		l = carried
-	}
-	if err := e.install(l, c); err != nil {
+	if err := e.install(cfg.Shards, c); err != nil {
 		e.cancel()
 		return nil, err
 	}
 	e.start()
-	e.startMonitor()
 	return e, nil
 }
 
@@ -660,7 +612,7 @@ func (e *Engine) inject(chunk []*item) error {
 		return nil
 	case <-e.ctx.Done():
 		// Only a pipeline failure cancels the context while submitters are
-		// inflight (Close and Rebalance wait for us first).
+		// inflight (Close and Reshard wait for us first).
 		if err := e.Err(); err != nil {
 			return err
 		}
@@ -693,13 +645,6 @@ func (e *Engine) Close() error {
 	e.closed = true
 	e.subMu.Unlock()
 	if first {
-		// The skew monitor must stop before intake closes: a rebalance in
-		// flight holds the submission lock until it finishes, and the next
-		// trigger would hit ErrClosed anyway.
-		if e.monitorStop != nil {
-			close(e.monitorStop)
-		}
-		e.monitorWG.Wait()
 		// Durable-path submitters between WAL reservation and injection must
 		// finish before the intake channel closes: their sequence numbers
 		// are already assigned and the merger is waiting for them.
@@ -740,7 +685,7 @@ func (e *Engine) imputeWorker() {
 			prof := e.step.Profile(im)
 			it.prof.im = im
 			it.prof.prof = prof
-			it.prof.homes, it.prof.slot = e.homeShards(prof)
+			it.prof.home = homeShard(it.rec.RID, e.cfg.Shards)
 			bd.ER += sw.Lap() // profile construction is ER-phase cost in core
 			e.acc.AddBreakdown(bd)
 		}
@@ -841,7 +786,7 @@ func (e *Engine) routeBatch(items []*item) bool {
 			hdr := header{seq: it.seq, rid: it.rec.RID, skip: true, it: it}
 			if tr := it.tr; tr != nil {
 				tr.Rejected = true
-				tr.Slot = -1
+				tr.Home = -1
 				hdr.tr = tr
 			}
 			hdrs = append(hdrs, hdr)
@@ -856,33 +801,19 @@ func (e *Engine) routeBatch(items []*item) bool {
 		var rids []string
 		for _, x := range expired {
 			rids = append(rids, x.RID)
-			if slot, ok := e.live[x.RID]; ok && slot >= 0 {
-				e.slotWeight[slot].Add(-1)
-			}
 			delete(e.live, x.RID)
 		}
-		e.live[it.rec.RID] = it.prof.slot
-		if it.prof.slot >= 0 {
-			e.slotWeight[it.prof.slot].Add(1)
-		}
-		homes := it.prof.homes
+		e.live[it.rec.RID] = struct{}{}
+		home := it.prof.home
 		if tr := it.tr; tr != nil {
-			tr.Slot = it.prof.slot
-			tr.Homes = homes
+			tr.Home = home
 			// Allocated before the fan-out: each shard writes only its own
 			// index (ordered by its partial send), the merger reads after all
 			// partials.
 			tr.ShardNs = make([]int64, k)
 		}
 		for i := 0; i < k; i++ {
-			si := shardItem{it: it, removes: rids}
-			for _, h := range homes {
-				if h == i {
-					si.insert = true
-					break
-				}
-			}
-			batches[i] = append(batches[i], si)
+			batches[i] = append(batches[i], shardItem{it: it, removes: rids, insert: i == home})
 		}
 		hdrs = append(hdrs, header{seq: it.seq, rid: it.rec.RID, expired: rids, it: it, tr: it.tr})
 	}

@@ -101,63 +101,97 @@ func samePairs(a, b []core.Pair) bool {
 // TestEngineMatchesProcessor is the sharding soundness contract: for
 // K ∈ {1, 2, 4, 8} the engine's per-arrival output — pair identities,
 // emission order, and exact probabilities — and its final entity set are
-// identical to single-threaded core.Processor on the same input. Run under
-// -race in CI.
+// identical to single-threaded core.Processor on the same input. So are the
+// pruning counters a resident's single home makes partition-independent:
+// ProbUB, InstPair and Refined always, and with TrackPruning on (which also
+// counts the pairs eliminated at cell level) all six. Run under -race in CI.
 func TestEngineMatchesProcessor(t *testing.T) {
 	f := loadFixture(t)
-	wantPerArrival, wantFinal := runProcessor(t, f)
-
-	nEmitted := 0
-	for _, ps := range wantPerArrival {
-		nEmitted += len(ps)
-	}
-	if nEmitted == 0 {
-		t.Fatal("reference emitted no pairs; fixture too small to be meaningful")
-	}
-
-	for _, k := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			var mu sync.Mutex
-			got := make([][]core.Pair, len(f.stream))
-			eng, err := New(f.sh, Config{
-				Core:   f.cfg,
-				Shards: k,
-				OnResult: func(res Result) {
-					mu.Lock()
-					got[res.Seq] = res.Pairs
-					mu.Unlock()
-				},
-			})
+	for _, tc := range []struct {
+		track bool
+		ks    []int
+	}{
+		{false, []int{1, 2, 4, 8}},
+		{true, []int{1, 2, 4}},
+	} {
+		cfg := f.cfg
+		cfg.TrackPruning = tc.track
+		proc, err := core.NewProcessor(f.sh, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPerArrival := make([][]core.Pair, 0, len(f.stream))
+		nEmitted := 0
+		for _, r := range f.stream {
+			pairs, err := proc.Advance(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range f.stream {
-				if err := eng.Submit(r); err != nil {
+			wantPerArrival = append(wantPerArrival, pairs)
+			nEmitted += len(pairs)
+		}
+		wantFinal, wantPrune := proc.Results().Pairs(), proc.PruneStats()
+		if nEmitted == 0 {
+			t.Fatal("reference emitted no pairs; fixture too small to be meaningful")
+		}
+
+		for _, k := range tc.ks {
+			name := fmt.Sprintf("K=%d", k)
+			if tc.track {
+				name += ",TrackPruning"
+			}
+			t.Run(name, func(t *testing.T) {
+				var mu sync.Mutex
+				got := make([][]core.Pair, len(f.stream))
+				eng, err := New(f.sh, Config{
+					Core:   cfg,
+					Shards: k,
+					OnResult: func(res Result) {
+						mu.Lock()
+						got[res.Seq] = res.Pairs
+						mu.Unlock()
+					},
+				})
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := eng.Close(); err != nil {
-				t.Fatal(err)
-			}
-			for i := range wantPerArrival {
-				if !samePairs(wantPerArrival[i], got[i]) {
-					t.Fatalf("arrival %d (%s): engine K=%d emitted %v, processor %v",
-						i, f.stream[i].RID, k, got[i], wantPerArrival[i])
+				for _, r := range f.stream {
+					if err := eng.Submit(r); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			final := eng.ResultSet()
-			if !samePairs(wantFinal, final) {
-				t.Fatalf("final entity set differs at K=%d: engine %d pairs, processor %d",
-					k, len(final), len(wantFinal))
-			}
-			st := eng.Stats()
-			if st.Completed != int64(len(f.stream)) {
-				t.Fatalf("completed %d arrivals, submitted %d", st.Completed, len(f.stream))
-			}
-			if st.Totals.Tuples != int64(len(f.stream)) {
-				t.Fatalf("stats counted %d tuples, want %d", st.Totals.Tuples, len(f.stream))
-			}
-		})
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
+				for i := range wantPerArrival {
+					if !samePairs(wantPerArrival[i], got[i]) {
+						t.Fatalf("arrival %d (%s): engine K=%d emitted %v, processor %v",
+							i, f.stream[i].RID, k, got[i], wantPerArrival[i])
+					}
+				}
+				final := eng.ResultSet()
+				if !samePairs(wantFinal, final) {
+					t.Fatalf("final entity set differs at K=%d: engine %d pairs, processor %d",
+						k, len(final), len(wantFinal))
+				}
+				st := eng.Stats()
+				if st.Completed != int64(len(f.stream)) {
+					t.Fatalf("completed %d arrivals, submitted %d", st.Completed, len(f.stream))
+				}
+				if st.Totals.Tuples != int64(len(f.stream)) {
+					t.Fatalf("stats counted %d tuples, want %d", st.Totals.Tuples, len(f.stream))
+				}
+				gotPrune := st.Totals.Prune
+				if !tc.track {
+					// Cell-level eliminations go uncounted, and how many
+					// there are depends on the partitioning.
+					gotPrune.Considered, gotPrune.Topic, gotPrune.SimUB = wantPrune.Considered, wantPrune.Topic, wantPrune.SimUB
+				}
+				if gotPrune != wantPrune {
+					t.Fatalf("pruning counters differ at K=%d: engine %+v, processor %+v", k, st.Totals.Prune, wantPrune)
+				}
+			})
+		}
 	}
 }
 

@@ -126,16 +126,13 @@ type Follower struct {
 // OpenFollower boots a follower replica over a writer's durability
 // directory: restore the newest checkpoint (if any), start tailing the WAL
 // past its watermark, and keep applying until Close or Promote. The engine
-// config must not carry a WAL; the rebalance monitor is disabled — the
-// follower adopts the writer's layout from its checkpoints instead of
-// fighting it with local decisions.
+// config must not carry a WAL; the follower adopts the writer's shard count
+// from the checkpoints it applies.
 func OpenFollower(sh *core.Shared, cfg Config, fc FollowerConfig) (*Follower, error) {
 	fc.fill()
 	if cfg.WAL != nil {
 		return nil, fmt.Errorf("engine: follower config must not carry a WAL")
 	}
-	cfg.Rebalance = RebalanceConfig{Logf: cfg.Rebalance.Logf}
-
 	tailer, err := wal.OpenTail(fc.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("engine: follower: %w", err)

@@ -185,7 +185,7 @@ func TestFollowerLiveDeltaCatchUp(t *testing.T) {
 	submit(q1, q2)
 	ckpt() // delta q1→q2
 	// Mid-chain topology change: the next delta spans a rebalanced writer.
-	if err := w.Eng.Rebalance(DefaultLayout(3)); err != nil {
+	if err := w.Eng.Reshard(3); err != nil {
 		t.Fatal(err)
 	}
 	submit(q2, q3)

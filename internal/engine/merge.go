@@ -28,9 +28,9 @@ func (p *pending) reset() {
 }
 
 // merger joins the K partial result slices per arrival, restores submission
-// order, dedups broadcast-resident candidates, and maintains the live
-// entity set — the single writer of e.results. Intake is batched: one
-// receive absorbs a routed run's headers or one shard's multi-entry partial.
+// order, and maintains the live entity set — the single writer of
+// e.results. Intake is batched: one receive absorbs a routed run's headers
+// or one shard's multi-entry partial.
 //
 //terids:hotpath
 //terids:deterministic
@@ -118,10 +118,11 @@ func (e *Engine) merger() {
 
 // finalize emits one in-order arrival: expired pairs leave the entity set,
 // merged pairs enter it in candidate-arrival order — exactly the grid
-// insertion-ordinal order core.Processor.Advance returns. Completion is
-// published last, after the trace is retained and OnResult has returned, so
-// a barrier that has seen completed reach the watermark (Flush, Checkpoint)
-// has seen every effect of every arrival below it.
+// insertion-ordinal order core.Processor.Advance returns (each candidate
+// resides in one shard, so no two partials carry the same pair). Completion
+// is published last, after the trace is retained and OnResult has returned,
+// so a barrier that has seen completed reach the watermark (Flush,
+// Checkpoint) has seen every effect of every arrival below it.
 func (e *Engine) finalize(p *pending) {
 	res := Result{Seq: p.hdr.seq, RID: p.hdr.rid, Rejected: p.hdr.skip}
 	if !res.Rejected {
@@ -129,12 +130,7 @@ func (e *Engine) finalize(p *pending) {
 			return cmp.Compare(a.candSeq, b.candSeq)
 		})
 		pairs := make([]core.Pair, 0, len(p.pairs))
-		last := int64(-1)
 		for _, sp := range p.pairs {
-			if sp.candSeq == last {
-				continue // broadcast-resident candidate emitted by several shards
-			}
-			last = sp.candSeq
 			pairs = append(pairs, sp.pair)
 		}
 		e.resultsMu.Lock()

@@ -25,10 +25,8 @@ type Trace struct {
 	Seq    int64  `json:"seq"`
 	RID    string `json:"rid"`
 	Stream int    `json:"stream"`
-	// Slot is the layout slot the arrival's residency was charged to (-1 for
-	// broadcast residents); Homes lists the shards that inserted it.
-	Slot  int   `json:"topic_slot"`
-	Homes []int `json:"home_shards,omitempty"`
+	// Home is the shard that inserted the arrival (-1 for a rejected one).
+	Home int `json:"home_shard"`
 	// Rejected marks a duplicate live RID dropped by the router.
 	Rejected bool `json:"rejected,omitempty"`
 	// WALWaitNs is the group-commit wait on the durable path (0 without a
@@ -41,7 +39,7 @@ type Trace struct {
 	ImputeNs int64 `json:"impute_ns"`
 	RouteNs  int64 `json:"route_ns"`
 	// ShardNs[i] is shard i's resolve time for this arrival (every shard
-	// resolves; residency is what Homes restricts).
+	// resolves; only Home inserts).
 	ShardNs []int64 `json:"shard_resolve_ns,omitempty"`
 	// MergeHoldNs is the reorder-buffer hold before finalization; TotalNs the
 	// whole submit→finalize latency; Pairs the matches emitted.
@@ -94,7 +92,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		walWait: reg.Histogram("terids_wal_submit_wait_seconds",
 			"Submitter-observed WAL group-commit wait, reservation to durable.", nil),
 		rebalancePause: reg.Histogram("terids_rebalance_pause_seconds",
-			"Online rebalance pause: barrier drain to pipeline resume.", nil),
+			"Online reshard pause: barrier drain to pipeline resume.", nil),
 		batchEntries: reg.SizeHistogram("terids_submit_batch_entries",
 			"Arrivals per accepted submission batch (1 = single Submit).", nil),
 	}
@@ -111,7 +109,7 @@ func (m *engineMetrics) poolStats(name string) poolStats {
 }
 
 // shardResolve is shard id's resolve-latency histogram. Shard ids repeat
-// across rebalances and engines sharing a registry; the series are cumulative
+// across reshards and engines sharing a registry; the series are cumulative
 // per (process, shard id), as Prometheus counters are.
 func (m *engineMetrics) shardResolve(id int) *obs.Histogram {
 	return m.reg.Histogram("terids_shard_resolve_seconds",

@@ -10,8 +10,8 @@ import (
 )
 
 // shardItem is one arrival's work for one shard: evict the expired
-// residents, resolve the query against the local partition, then (for home
-// shards) insert it.
+// residents, resolve the query against the local partition, then (on its
+// home shard) insert it.
 type shardItem struct {
 	it      *item
 	removes []string
@@ -53,16 +53,14 @@ type shard struct {
 	grid  *grid.Grid
 	seqOf map[string]int64 // resident RID -> global arrival seq
 
-	// residents/resolved/inserts are read by Stats() and the skew monitor
-	// while the worker runs. residents tracks current occupancy; inserts is
-	// the monotonic insert count, whose per-interval delta is the shard's
-	// submit rate.
+	// residents/resolved/inserts/erTime are read by Stats() while the worker
+	// runs. residents tracks current occupancy; inserts is the monotonic
+	// insert count, whose per-interval delta is the shard's submit rate;
+	// erTime is the shard's cumulative resolve time in nanoseconds.
 	residents atomic.Int64
 	resolved  atomic.Int64
 	inserts   atomic.Int64
-	// erTime is the shard's cumulative resolve time in nanoseconds — the skew
-	// monitor's primary load signal (per-interval deltas; see rebalance.go).
-	erTime atomic.Int64
+	erTime    atomic.Int64
 
 	// met is the shard's resolve-latency histogram, nil when
 	// instrumentation is off.

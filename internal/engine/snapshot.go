@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"terids/internal/core"
@@ -70,8 +69,7 @@ func (e *Engine) checkpointLocked() (*snapshot.Checkpoint, error) {
 	e.resultsMu.RLock()
 	defer e.resultsMu.RUnlock()
 
-	// Arrival sequences live in the shards' residency maps (broadcast
-	// residents appear in several shards with the same sequence).
+	// Arrival sequences live in the shards' residency maps.
 	seqOf := make(map[string]int64)
 	for _, s := range e.shards {
 		//lint:ignore nodeterm iteration order erased: residents are sorted by arrival seq below
@@ -100,7 +98,6 @@ func (e *Engine) checkpointLocked() (*snapshot.Checkpoint, error) {
 	c.Completed = e.completed
 	c.Rejected = e.rejected
 	c.Shards = e.cfg.Shards
-	c.SlotTable = slices.Clone(e.layout)
 	for _, r := range recs {
 		c.Residents = append(c.Residents, core.ResidentFromRecord(r, seqOf[r.RID]))
 	}
@@ -113,27 +110,16 @@ func (e *Engine) checkpointLocked() (*snapshot.Checkpoint, error) {
 	return c, nil
 }
 
-// checkpointLayout returns the shard layout checkpoint c carries, if it
-// carries a usable one: format v2+, a shard count within the adoption cap,
-// and a well-formed slot table.
-func checkpointLayout(c *snapshot.Checkpoint) (Layout, bool) {
-	if c == nil || c.Shards < 1 || c.Shards > maxAdoptShards || len(c.SlotTable) != LayoutSlots {
-		return Layout{}, false
-	}
-	l, err := Layout{K: c.Shards, Slots: c.SlotTable}.normalized()
-	return l, err == nil
-}
-
 // install is the one place engine state comes into being: it builds the
-// windows, shard grids, stage channels, and home tables under layout l, then
-// loads checkpoint c — residents re-inserted in arrival order with profiles
-// and residency recomputed, the entity set, the progress counters — and sets
+// windows, k shard grids, and stage channels, then loads checkpoint c —
+// residents re-inserted in arrival order with profiles and residency
+// recomputed, the entity set, the progress counters — and sets
 // the sequence space to its watermark. A nil c is genesis, the empty
 // checkpoint at sequence zero. No pipeline goroutine may be running, and
 // after an error none may be started.
 //
 //terids:deterministic
-func (e *Engine) install(l Layout, c *snapshot.Checkpoint) error {
+func (e *Engine) install(k int, c *snapshot.Checkpoint) error {
 	// Every fallible construction happens into locals first: a failure here
 	// must not publish half-built state (a shards slice with nil entries
 	// would panic a concurrent Stats/Imbalance reader).
@@ -156,8 +142,8 @@ func (e *Engine) install(l Layout, c *snapshot.Checkpoint) error {
 		}
 		windows = mw
 	}
-	shardCh := make([]chan shardCmd, l.K)
-	shards := make([]*shard, l.K)
+	shardCh := make([]chan shardCmd, k)
+	shards := make([]*shard, k)
 	for i := range shards {
 		g, err := e.step.NewGrid()
 		if err != nil {
@@ -176,25 +162,20 @@ func (e *Engine) install(l Layout, c *snapshot.Checkpoint) error {
 
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
-	e.cfg.Shards = l.K
+	e.cfg.Shards = k
 	if e.autoImpute {
 		// An auto-sized impute pool follows K, so a grown K gets a grown
 		// imputation stage too; start() reads the value when it launches.
-		e.cfg.ImputeWorkers = l.K
+		e.cfg.ImputeWorkers = k
 	}
-	e.layout = l.Slots
-	e.internHomes() // per-K; needed before the residents below are re-homed
 	e.imputeIn = make(chan []*item, e.cfg.QueueDepth)
 	e.imputedOut = make(chan []*item, e.cfg.QueueDepth)
 	e.hdrCh = make(chan []header, e.cfg.QueueDepth)
-	e.partials = make(chan partial, e.cfg.QueueDepth*l.K)
-	e.shardScratch = make([][]shardItem, l.K)
+	e.partials = make(chan partial, e.cfg.QueueDepth*k)
+	e.shardScratch = make([][]shardItem, k)
 	e.timeWins, e.windows = timeWins, windows
 	e.shardCh, e.shards = shardCh, shards
-	e.live = make(map[string]int, len(recs))
-	for i := range e.slotWeight {
-		e.slotWeight[i].Store(0)
-	}
+	e.live = make(map[string]struct{}, len(recs))
 
 	for i, rec := range recs {
 		expired, err := e.pushWindow(rec)
@@ -207,19 +188,13 @@ func (e *Engine) install(l Layout, c *snapshot.Checkpoint) error {
 		}
 		im, _ := e.step.Impute(rec)
 		prof := e.step.Profile(im)
-		homes, slot := e.homeShards(prof)
-		e.live[rec.RID] = slot
-		if slot >= 0 {
-			e.slotWeight[slot].Add(1)
+		e.live[rec.RID] = struct{}{}
+		s := shards[homeShard(rec.RID, k)]
+		if err := s.grid.Insert(&grid.Entry{Rec: rec, Prof: prof}); err != nil {
+			return err
 		}
-		for _, h := range homes {
-			s := shards[h]
-			if err := s.grid.Insert(&grid.Entry{Rec: rec, Prof: prof}); err != nil {
-				return err
-			}
-			s.seqOf[rec.RID] = c.Residents[i].ArrivalSeq
-			s.residents.Add(1)
-		}
+		s.seqOf[rec.RID] = c.Residents[i].ArrivalSeq
+		s.residents.Add(1)
 	}
 	results := core.NewResultSet()
 	if err := core.RestoreResults(results, recs, c); err != nil {
@@ -235,9 +210,9 @@ func (e *Engine) install(l Layout, c *snapshot.Checkpoint) error {
 
 // swap replaces a running engine's state in place: drain to the watermark,
 // stop the pipeline (closing intake cascades the shutdown left to right, as
-// in Close), install checkpoint c under layout l, restart. A nil c
+// in Close), install checkpoint c at k shards, restart. A nil c
 // re-installs the engine's own state, captured at the barrier — a pure
-// layout change; the installed checkpoint is returned either way. The engine
+// reshard; the installed checkpoint is returned either way. The engine
 // object, its WAL, OnResult sink, metrics, and journal carry over.
 //
 // Ownership: the caller holds subMu throughout — that is what keeps arrivals
@@ -245,7 +220,7 @@ func (e *Engine) install(l Layout, c *snapshot.Checkpoint) error {
 // has seen the old pipeline's last goroutine exit. If install then fails,
 // the old pipeline is gone and no new one started, so the engine is failed:
 // submitters and Checkpoint get the error instead of a hang.
-func (e *Engine) swap(l Layout, c *snapshot.Checkpoint) (*snapshot.Checkpoint, error) {
+func (e *Engine) swap(k int, c *snapshot.Checkpoint) (*snapshot.Checkpoint, error) {
 	if e.closed {
 		return nil, ErrClosed
 	}
@@ -265,7 +240,7 @@ func (e *Engine) swap(l Layout, c *snapshot.Checkpoint) (*snapshot.Checkpoint, e
 	if err := e.Err(); err != nil {
 		return nil, err
 	}
-	if err := e.install(l, c); err != nil {
+	if err := e.install(k, c); err != nil {
 		e.closed = true
 		e.fail(err)
 		return nil, err

@@ -464,7 +464,7 @@ func TestRestoreEntryPointsEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.Rebalance(Layout{K: k, Slots: eng.layout}); err != nil {
+			if err := eng.Reshard(k); err != nil {
 				t.Fatal(err)
 			}
 			return runSuffix(t, eng)

@@ -6,33 +6,33 @@ import "terids/internal/metrics"
 type ShardStats struct {
 	// Shard is the partition index.
 	Shard int `json:"shard"`
-	// Residents is the number of tuples currently in this partition.
-	// Broadcast-resident tuples count once per hosting shard.
+	// Residents is the number of tuples currently in this partition; every
+	// windowed tuple resides in exactly one.
 	Residents int64 `json:"residents"`
 	// Resolved counts arrivals this shard has resolved against its
 	// partition.
 	Resolved int64 `json:"resolved"`
 	// Inserts is the monotonic count of residency insertions this shard has
-	// taken; its per-interval delta is the shard's submit rate, the second
-	// signal (besides Residents) the skew monitor watches.
+	// taken; its per-interval delta is the shard's submit rate.
 	Inserts int64 `json:"inserts"`
-	// ERTimeNs is the shard's cumulative resolve time in nanoseconds — the
-	// skew monitor's primary load signal (per-interval deltas measure where
-	// resolution CPU actually goes, which resident counts only approximate).
+	// ERTimeNs is the shard's cumulative resolve time in nanoseconds; its
+	// per-interval delta measures where resolution CPU actually goes.
 	ERTimeNs int64 `json:"er_time_ns"`
 }
 
 // Stats is a point-in-time view of the engine, safe to read while the
 // pipeline runs. Breakdown durations are summed across workers, so they
 // measure CPU time, not wall clock. Pruning counters are summed over
-// shard-local resolves: partitioning changes where cell-level pruning
-// lands, and broadcast-resident tuples are counted once per hosting shard,
-// so the percentages are diagnostics of this engine's work — not the
-// single-grid Figure 4 attribution (run the Processor for that).
+// shard-local resolves. Each candidate resides in exactly one shard, so
+// ProbUB, InstPair and Refined always equal core.Processor's, and with
+// Core.TrackPruning on the whole PruneStats does — the single-grid Figure 4
+// attribution. Without TrackPruning pairs eliminated at cell level are not
+// counted, and how many those are depends on the partitioning, so
+// Considered, Topic and SimUB are diagnostics of this engine's work.
 type Stats struct {
 	Shards int `json:"shards"`
 	// ImputeWorkers is the current imputation pool size. It tracks Shards
-	// across rebalances when the configuration auto-sized it, and stays at
+	// across reshards when the configuration auto-sized it, and stays at
 	// the configured value otherwise.
 	ImputeWorkers int   `json:"impute_workers"`
 	Submitted     int64 `json:"submitted"`
@@ -46,7 +46,7 @@ type Stats struct {
 	// Imbalance is the current skew ratio: the most loaded shard's residents
 	// over the per-shard mean (1 = balanced, Shards = everything on one).
 	Imbalance float64 `json:"imbalance"`
-	// Rebalance is the adaptive rebalancer's health block.
+	// Rebalance is the online-reshard health block.
 	Rebalance RebalanceStats `json:"rebalance"`
 	// QueueLen is the current ingest queue occupancy (of QueueDepth).
 	QueueLen   int `json:"queue_len"`

@@ -388,9 +388,9 @@ sched:
 		FollowerLines: followerLines.Load(),
 		ReplayReads:   replayReads.Load(),
 	}
-	var weighted, schedSecs float64
+	var scheduled, schedSecs float64
 	for pi, ph := range cfg.Phases {
-		weighted += ph.Rate * ph.Duration.Seconds()
+		scheduled += ph.Rate * ph.Duration.Seconds()
 		schedSecs += ph.Duration.Seconds()
 		pSent := phaseSent[pi].Load()
 		pr := PhaseReport{
@@ -406,7 +406,7 @@ sched:
 		rep.Phases = append(rep.Phases, pr)
 	}
 	if schedSecs > 0 {
-		rep.TargetRate = weighted / schedSecs
+		rep.TargetRate = scheduled / schedSecs
 	}
 	return rep, ctx.Err()
 }
