@@ -1,7 +1,7 @@
-// Package agg defines the aggregate summaries attached to aR-tree nodes,
-// ER-grid cells, and imputed tuples (Sections 5.1 and 5.2): a keyword
-// bitvector, per-attribute/per-pivot Jaccard-distance intervals, and
-// per-attribute token-set-size intervals. All summaries are merge-monotone.
+// Package agg defines the aggregate summaries attached to ER-grid cells and
+// imputed tuples' pruning profiles (Section 5.2): a keyword bitvector,
+// per-attribute/per-pivot Jaccard-distance intervals, and per-attribute
+// token-set-size intervals. All summaries are merge-monotone.
 package agg
 
 import (
@@ -151,19 +151,4 @@ func (s *Summary) Clone() *Summary {
 		out.Dist[x] = append([]Interval(nil), s.Dist[x]...)
 	}
 	return out
-}
-
-// Merger adapts Summary to the artree.Merger interface.
-type Merger struct {
-	D, NPiv, NKW int
-}
-
-// Zero returns a fresh empty *Summary.
-func (m Merger) Zero() any { return NewSummary(m.D, m.NPiv, m.NKW) }
-
-// Add folds agg (*Summary) into acc (*Summary) and returns acc.
-func (m Merger) Add(acc, aggregate any) any {
-	a := acc.(*Summary)
-	a.Merge(aggregate.(*Summary))
-	return a
 }

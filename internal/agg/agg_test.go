@@ -97,17 +97,3 @@ func TestSummaryClone(t *testing.T) {
 		t.Fatal("Clone must be independent")
 	}
 }
-
-func TestMerger(t *testing.T) {
-	m := Merger{D: 1, NPiv: 1, NKW: 2}
-	acc := m.Zero().(*Summary)
-	s1 := NewSummary(1, 1, 2)
-	s1.Dist[0][0].Extend(0.3)
-	s2 := NewSummary(1, 1, 2)
-	s2.Dist[0][0].Extend(0.6)
-	acc = m.Add(acc, s1).(*Summary)
-	acc = m.Add(acc, s2).(*Summary)
-	if acc.Dist[0][0].Lo != 0.3 || acc.Dist[0][0].Hi != 0.6 {
-		t.Fatalf("Merger fold = %+v", acc.Dist[0][0])
-	}
-}

@@ -1,10 +1,12 @@
 // Package cddindex implements the CDD-index I_j of Section 5.1: for each
 // dependent attribute A_j, rules of the form X_f → A_j are organized in a
-// lattice of determinant signatures; each lattice node holds an aR-tree
-// over the rules' constraint geometry (constants converted to pivot
-// distances, intervals indexed as boxes). Given an incomplete tuple, the
-// index returns the applicable rules while pruning whole groups whose
-// constant constraints cannot match.
+// lattice of determinant signatures. Given an incomplete tuple, a group
+// whose determinants the tuple is missing is skipped whole; inside a usable
+// group every rule, in insertion order, is checked exactly with AppliesTo.
+//
+// Section 5.1 also keeps an aggregate R-tree per group over the rules'
+// pivot-converted constants. It is not built: checking every rule of a
+// usable group is cheaper than the per-group conversions the tree needed.
 package cddindex
 
 import (
@@ -12,168 +14,65 @@ import (
 	"sort"
 	"strings"
 
-	"terids/internal/agg"
-	"terids/internal/artree"
 	"terids/internal/pivot"
 	"terids/internal/rules"
-	"terids/internal/tokens"
 	"terids/internal/tuple"
 )
-
-// ruleAgg is the aggregate of Section 5.1's CDD-index: the minimal interval
-// bounding the dependent intervals A_j.I of all rules below a node, plus
-// intervals bounding the constants' auxiliary-pivot distances.
-type ruleAgg struct {
-	depI agg.Interval
-	// auxConst[i][a-1] bounds dist(constant, piv_a) for const dim i.
-	auxConst [][]agg.Interval
-}
-
-type ruleMerger struct {
-	nConst int
-	nAux   int
-}
-
-func (m ruleMerger) Zero() any {
-	z := &ruleAgg{depI: agg.EmptyInterval(), auxConst: make([][]agg.Interval, m.nConst)}
-	for i := range z.auxConst {
-		z.auxConst[i] = make([]agg.Interval, m.nAux)
-		for a := range z.auxConst[i] {
-			z.auxConst[i][a] = agg.EmptyInterval()
-		}
-	}
-	return z
-}
-
-func (m ruleMerger) Add(acc, aggr any) any {
-	a := acc.(*ruleAgg)
-	o := aggr.(*ruleAgg)
-	a.depI.ExtendInterval(o.depI)
-	for i := range a.auxConst {
-		for x := range a.auxConst[i] {
-			a.auxConst[i][x].ExtendInterval(o.auxConst[i][x])
-		}
-	}
-	return a
-}
 
 // group is one lattice node: all rules sharing a determinant signature
 // (the ordered list of (attr, kind) pairs).
 type group struct {
-	sig           string
-	constAttrs    []int // attrs with Const constraints, ascending
-	intervalAttrs []int // attrs with Interval constraints, ascending
-	tree          *artree.Tree
-	rules         []*rules.Rule
+	sig   string
+	attrs []int // determinant attributes, ascending
+	rules []*rules.Rule
 }
 
 // Index is the CDD-index for one dependent attribute.
 type Index struct {
-	dep    int
-	sel    *pivot.Selection
-	groups map[string]*group
-	order  []string // deterministic group iteration
+	groups []*group // in signature order
 	nRules int
 }
 
-// Build indexes all rules with dependent attribute dep from set.
-func Build(set *rules.Set, dep int, sel *pivot.Selection) (*Index, error) {
+// Build indexes all rules with dependent attribute dep from set. The pivot
+// selection is not used; the parameter is kept for benchmark/ until the
+// next benchmark PR.
+func Build(set *rules.Set, dep int, _ *pivot.Selection) (*Index, error) {
 	if dep < 0 || dep >= set.D() {
 		return nil, fmt.Errorf("cddindex: dependent %d out of range [0,%d)", dep, set.D())
 	}
-	ix := &Index{dep: dep, sel: sel, groups: make(map[string]*group)}
+	ix := &Index{}
+	bySig := make(map[string]*group)
 	for _, r := range set.ForDependent(dep) {
-		ix.insert(r)
+		sig, attrs := signature(r)
+		g, ok := bySig[sig]
+		if !ok {
+			g = &group{sig: sig, attrs: attrs}
+			bySig[sig] = g
+			ix.groups = append(ix.groups, g)
+		}
+		g.rules = append(g.rules, r)
+		ix.nRules++
 	}
-	sort.Strings(ix.order)
+	sort.Slice(ix.groups, func(a, b int) bool { return ix.groups[a].sig < ix.groups[b].sig })
 	return ix, nil
 }
 
-// signature builds the lattice key of a rule's determinant set.
-func signature(r *rules.Rule) (sig string, constAttrs, intervalAttrs []int) {
-	type det struct {
-		attr int
-		kind rules.ConstraintKind
-	}
-	dets := make([]det, 0, len(r.Determinants))
-	for _, c := range r.Determinants {
-		dets = append(dets, det{c.Attr, c.Kind})
-	}
-	sort.Slice(dets, func(i, j int) bool { return dets[i].attr < dets[j].attr })
+// signature builds the lattice key of a rule's determinant set and the
+// determinant attributes in ascending order.
+func signature(r *rules.Rule) (string, []int) {
+	dets := append([]rules.Constraint(nil), r.Determinants...)
+	sort.Slice(dets, func(i, j int) bool { return dets[i].Attr < dets[j].Attr })
 	var b strings.Builder
-	for _, d := range dets {
-		if d.kind == rules.Const {
-			fmt.Fprintf(&b, "c%d|", d.attr)
-			constAttrs = append(constAttrs, d.attr)
-		} else {
-			fmt.Fprintf(&b, "i%d|", d.attr)
-			intervalAttrs = append(intervalAttrs, d.attr)
+	attrs := make([]int, len(dets))
+	for i, c := range dets {
+		kind := "i"
+		if c.Kind == rules.Const {
+			kind = "c"
 		}
+		fmt.Fprintf(&b, "%s%d|", kind, c.Attr)
+		attrs[i] = c.Attr
 	}
-	return b.String(), constAttrs, intervalAttrs
-}
-
-func (ix *Index) insert(r *rules.Rule) {
-	sig, constAttrs, intervalAttrs := signature(r)
-	g, ok := ix.groups[sig]
-	if !ok {
-		dims := len(constAttrs) + len(intervalAttrs)
-		g = &group{
-			sig:           sig,
-			constAttrs:    constAttrs,
-			intervalAttrs: intervalAttrs,
-			tree: artree.New(dims, ruleMerger{
-				nConst: len(constAttrs),
-				nAux:   ix.maxAux(),
-			}),
-		}
-		ix.groups[sig] = g
-		ix.order = append(ix.order, sig)
-	}
-	// Geometry: const dims are points at the converted constant; interval
-	// dims are the [Min, Max] boxes.
-	dims := len(g.constAttrs) + len(g.intervalAttrs)
-	lo := make([]float64, dims)
-	hi := make([]float64, dims)
-	a := ix.aggOf(r, g)
-	for i, attr := range g.constAttrs {
-		c := findConstraint(r, attr)
-		cc := ix.sel.Convert(attr, c.Toks)
-		lo[i], hi[i] = cc, cc
-	}
-	for i, attr := range g.intervalAttrs {
-		c := findConstraint(r, attr)
-		lo[len(g.constAttrs)+i] = c.Min
-		hi[len(g.constAttrs)+i] = c.Max
-	}
-	g.tree.Insert(artree.Item{Rect: artree.MustBox(lo, hi), Data: r, Agg: a})
-	g.rules = append(g.rules, r)
-	ix.nRules++
-}
-
-func (ix *Index) maxAux() int { return ix.sel.MaxAux() }
-
-func (ix *Index) aggOf(r *rules.Rule, g *group) *ruleAgg {
-	a := ruleMerger{nConst: len(g.constAttrs), nAux: ix.maxAux()}.Zero().(*ruleAgg)
-	a.depI.Extend(r.DepMin)
-	a.depI.Extend(r.DepMax)
-	for i, attr := range g.constAttrs {
-		c := findConstraint(r, attr)
-		for aux := 1; aux < ix.sel.NumPivots(attr); aux++ {
-			a.auxConst[i][aux-1].Extend(
-				tokens.JaccardDistance(c.Toks, ix.sel.PerAttr[attr].Toks[aux]))
-		}
-	}
-	return a
-}
-
-func findConstraint(r *rules.Rule, attr int) *rules.Constraint {
-	for i := range r.Determinants {
-		if r.Determinants[i].Attr == attr {
-			return &r.Determinants[i]
-		}
-	}
-	return nil
+	return b.String(), attrs
 }
 
 // Len returns the number of indexed rules.
@@ -182,94 +81,40 @@ func (ix *Index) Len() int { return ix.nRules }
 // Groups returns the number of lattice nodes.
 func (ix *Index) Groups() int { return len(ix.groups) }
 
-// QueryStats reports traversal work.
+// QueryStats reports the work of one Applicable call.
 type QueryStats struct {
 	GroupsVisited int
 	GroupsSkipped int
-	NodesVisited  int
 	Verified      int
 }
 
 // Applicable streams the rules usable to impute r's missing dependent
 // attribute: groups whose determinant attributes include a missing one are
-// skipped outright; within a group, the aR-tree is searched with r's
-// converted constants (point query on const dims, full range on interval
-// dims), and constant equality is verified exactly on the leaves.
+// skipped outright; every rule of a usable group is checked with
+// AppliesTo. Returning false from visit stops the scan.
 func (ix *Index) Applicable(r *tuple.Record, visit func(*rules.Rule) bool) QueryStats {
 	var stats QueryStats
-	for _, sig := range ix.order {
-		g := ix.groups[sig]
-		if !ix.groupUsable(g, r) {
+	for _, g := range ix.groups {
+		if !usable(g, r) {
 			stats.GroupsSkipped++
 			continue
 		}
 		stats.GroupsVisited++
-		dims := len(g.constAttrs) + len(g.intervalAttrs)
-		lo := make([]float64, dims)
-		hi := make([]float64, dims)
-		for i, attr := range g.constAttrs {
-			cc := ix.sel.Convert(attr, r.Tokens(attr))
-			lo[i], hi[i] = cc, cc
-		}
-		for i := range g.intervalAttrs {
-			lo[len(g.constAttrs)+i] = 0
-			hi[len(g.constAttrs)+i] = 1
-		}
-		query := artree.MustBox(lo, hi)
-		stop := false
-		g.tree.Traverse(
-			func(rect artree.Rect, _ any) bool {
-				stats.NodesVisited++
-				return rect.Dims() > 0 && rect.Intersects(query)
-			},
-			func(it artree.Item) bool {
-				if !it.Rect.Intersects(query) {
-					return true
-				}
-				rule := it.Data.(*rules.Rule)
-				stats.Verified++
-				if rule.AppliesTo(r) {
-					if !visit(rule) {
-						stop = true
-						return false
-					}
-				}
-				return true
-			},
-		)
-		if stop {
-			break
+		for _, rule := range g.rules {
+			stats.Verified++
+			if rule.AppliesTo(r) && !visit(rule) {
+				return stats
+			}
 		}
 	}
 	return stats
 }
 
-func (ix *Index) groupUsable(g *group, r *tuple.Record) bool {
-	for _, attr := range g.constAttrs {
-		if r.IsMissing(attr) {
-			return false
-		}
-	}
-	for _, attr := range g.intervalAttrs {
+func usable(g *group, r *tuple.Record) bool {
+	for _, attr := range g.attrs {
 		if r.IsMissing(attr) {
 			return false
 		}
 	}
 	return true
-}
-
-// DepBound returns the minimal interval bounding the dependent intervals of
-// every rule that might apply to r — the coarse bound the index join uses
-// before materializing candidates. It unions the root aggregates of the
-// usable groups.
-func (ix *Index) DepBound(r *tuple.Record) agg.Interval {
-	out := agg.EmptyInterval()
-	for _, sig := range ix.order {
-		g := ix.groups[sig]
-		if !ix.groupUsable(g, r) || g.tree.Len() == 0 {
-			continue
-		}
-		out.ExtendInterval(g.tree.RootAgg().(*ruleAgg).depI)
-	}
-	return out
 }

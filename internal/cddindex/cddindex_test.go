@@ -136,53 +136,6 @@ func TestApplicableSkipsGroupsWithMissingDeterminants(t *testing.T) {
 	}
 }
 
-func TestApplicablePrunesConstants(t *testing.T) {
-	// Many rules with distinct constants at varying distances from the
-	// pivot: a query matching one constant must verify far fewer rules
-	// than exist. Constants share a sliding window of the pivot
-	// vocabulary so their converted coordinates spread over [0,1] (pivot
-	// conversion cannot separate constants that are all disjoint from the
-	// pivot — that degenerate case is covered by the linear-equivalence
-	// tests).
-	pivotText := "rest fluids sleep water soup tea honey lemon"
-	pivotToks := tokens.Tokenize(pivotText)
-	pivotWords := pivotToks.Texts()
-	sel := sel4()
-	sel.PerAttr[3] = pivot.AttrPivots{Attr: 3, Texts: []string{pivotText}, Toks: []tokens.Set{pivotToks}}
-	set := rules.NewSet(4)
-	for i := 0; i < 60; i++ {
-		// Take i%7 tokens from the pivot plus one unique token.
-		v := fmt.Sprintf("unique%d", i)
-		for k := 0; k <= i%7; k++ {
-			v += " " + pivotWords[k]
-		}
-		set.MustAdd(&rules.Rule{
-			Kind: rules.KindCDD, Dependent: 2,
-			Determinants: []rules.Constraint{
-				{Attr: 3, Kind: rules.Const, Value: v, Toks: tokens.Tokenize(v)},
-			},
-			DepMin: 0, DepMax: 0.2,
-		})
-	}
-	ix, err := Build(set, 2, sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qTreat := set.All()[7].Determinants[0].Value
-	q := tuple.MustRecord(schema, "q", 0, 0, []string{"male", "fever", "-", qTreat})
-	var got []*rules.Rule
-	stats := ix.Applicable(q, func(r *rules.Rule) bool {
-		got = append(got, r)
-		return true
-	})
-	if len(got) != 1 {
-		t.Fatalf("got %d rules, want 1", len(got))
-	}
-	if stats.Verified >= 60 {
-		t.Fatalf("verified %d of 60 rules; constant pruning ineffective", stats.Verified)
-	}
-}
-
 func TestApplicableEarlyStop(t *testing.T) {
 	set := ruleSetFixture(t)
 	ix, _ := Build(set, 2, sel4())
@@ -194,24 +147,6 @@ func TestApplicableEarlyStop(t *testing.T) {
 	})
 	if n != 1 {
 		t.Fatalf("early stop visited %d rules, want 1", n)
-	}
-}
-
-func TestDepBound(t *testing.T) {
-	set := ruleSetFixture(t)
-	ix, _ := Build(set, 2, sel4())
-	q := tuple.MustRecord(schema, "q", 0, 0, []string{"male", "fever cough", "-", "rest fluids"})
-	b := ix.DepBound(q)
-	if b.IsEmpty() {
-		t.Fatal("DepBound must not be empty for a query with usable groups")
-	}
-	if b.Lo != 0 || b.Hi < 0.4 {
-		t.Fatalf("DepBound = %+v; must cover all usable rules' intervals", b)
-	}
-	// All determinants missing: no usable group.
-	empty := tuple.MustRecord(schema, "q2", 0, 0, []string{"-", "-", "-", "-"})
-	if got := ix.DepBound(empty); !got.IsEmpty() {
-		t.Fatalf("DepBound with no usable groups = %+v, want empty", got)
 	}
 }
 
