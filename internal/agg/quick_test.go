@@ -1,7 +1,6 @@
 package agg
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -57,63 +56,5 @@ func TestQuickIntervalUnionLaws(t *testing.T) {
 	}
 	if err := quick.Check(mono, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestQuickSummaryMergeMonotone: merging never shrinks any component.
-func TestQuickSummaryMergeMonotone(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	randSummary := func() *Summary {
-		s := NewSummary(3, 2, 8)
-		for x := 0; x < 3; x++ {
-			for a := 0; a < 2; a++ {
-				if r.Intn(3) > 0 {
-					s.Dist[x][a].Extend(r.Float64())
-					s.Dist[x][a].Extend(r.Float64())
-				}
-			}
-			if r.Intn(3) > 0 {
-				s.Size[x].Extend(r.Intn(20))
-			}
-		}
-		for i := 0; i < 8; i++ {
-			if r.Intn(4) == 0 {
-				s.KW.Set(i)
-			}
-		}
-		return s
-	}
-	for trial := 0; trial < 1000; trial++ {
-		a, b := randSummary(), randSummary()
-		merged := a.Clone()
-		merged.Merge(b)
-		for x := 0; x < 3; x++ {
-			for p := 0; p < 2; p++ {
-				for _, src := range []*Summary{a, b} {
-					iv := src.Dist[x][p]
-					if iv.IsEmpty() {
-						continue
-					}
-					if merged.Dist[x][p].Lo > iv.Lo || merged.Dist[x][p].Hi < iv.Hi {
-						t.Fatalf("trial %d: merged interval %v does not cover input %v",
-							trial, merged.Dist[x][p], iv)
-					}
-				}
-			}
-			for _, src := range []*Summary{a, b} {
-				if src.Size[x].IsEmpty() {
-					continue
-				}
-				if merged.Size[x].Lo > src.Size[x].Lo || merged.Size[x].Hi < src.Size[x].Hi {
-					t.Fatalf("trial %d: merged size %v does not cover input %v",
-						trial, merged.Size[x], src.Size[x])
-				}
-			}
-		}
-		for i := 0; i < 8; i++ {
-			if (a.KW.Get(i) || b.KW.Get(i)) && !merged.KW.Get(i) {
-				t.Fatalf("trial %d: merged KW lost bit %d", trial, i)
-			}
-		}
 	}
 }

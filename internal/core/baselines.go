@@ -7,7 +7,6 @@ import (
 	"terids/internal/impute"
 	"terids/internal/metrics"
 	"terids/internal/prune"
-	"terids/internal/rules"
 	"terids/internal/stream"
 	"terids/internal/tuple"
 )
@@ -17,9 +16,10 @@ type BaselineKind int
 
 // The five baselines plus the straightforward reference method.
 const (
-	// IjGER imputes via CDD rules with the CDD-index but scans R for
-	// samples, then resolves through an ER-grid (indexes used, no 3-way
-	// join).
+	// IjGER is the indexed competitor: CDD-index rule selection, DR-index
+	// sample retrieval, ER-grid resolution. With the DR-index one flat scan
+	// of R, querying it rule by rule and TER-iDS's 3-way join are the same
+	// loop, so Ij+GER runs core.Step — the TER-iDS code itself.
 	IjGER BaselineKind = iota
 	// CDDER imputes via CDD rules without any index, then resolves by
 	// scanning the whole window.
@@ -56,20 +56,25 @@ func (k BaselineKind) String() string {
 	}
 }
 
-// Baseline is a Section 6.1 competitor: a pluggable imputer followed by
-// either a window-scan ER or (for Ij+GER) a grid-backed ER.
+// Baseline is a Section 6.1 competitor: a pluggable imputer followed by a
+// window-scan ER or, for Ij+GER, core.Step over its own ER-grid.
 type Baseline struct {
 	kind    BaselineKind
 	sh      *Shared
 	cfg     Config
-	imputer impute.Imputer
 	windows *stream.MultiWindow
+	results *ResultSet
+
+	// Ij+GER.
+	step *Step
+	g    *grid.Grid
+
+	// The scanning baselines.
+	imputer impute.Imputer
 	// profiles holds the imputed profile of every live tuple.
 	profiles map[string]*prune.Profile
 	// order keeps live RIDs per stream for deterministic scans.
-	order   [][]string
-	g       *grid.Grid // Ij+GER only
-	results *ResultSet
+	order [][]string
 
 	breakdown metrics.Breakdown
 	pruneStat metrics.PruneStats
@@ -96,13 +101,15 @@ func NewBaseline(sh *Shared, cfg Config, kind BaselineKind) (*Baseline, error) {
 	}
 	switch kind {
 	case IjGER:
-		nPiv := 1 + sh.Sel.MaxAux()
-		g, err := grid.New(sh.Schema.D(), cfg.CellsPerDim, nPiv, len(sh.Keywords))
+		step, err := NewStep(sh, cfg)
 		if err != nil {
 			return nil, err
 		}
-		b.g = g
-		b.imputer = newIndexSelectedImputer(sh, cfg, &b.breakdown)
+		g, err := step.NewGrid()
+		if err != nil {
+			return nil, err
+		}
+		b.step, b.g = step, g
 	case CDDER, Naive:
 		b.imputer = impute.NewRuleImputer(kind.String(), sh.Repo, sh.Rules, cfg.Impute).
 			WithBreakdown(&b.breakdown)
@@ -153,37 +160,42 @@ func (b *Baseline) Advance(r *tuple.Record) ([]Pair, error) {
 		return nil, err
 	}
 	if expired != nil {
-		delete(b.profiles, expired.RID)
-		b.dropFromOrder(expired)
 		if b.g != nil {
 			b.g.Remove(expired.RID)
+		} else {
+			delete(b.profiles, expired.RID)
+			b.dropFromOrder(expired)
 		}
 		b.results.RemoveRID(expired.RID)
 	}
 
-	var sw metrics.Stopwatch
-	sw.Start()
-	im := b.imputer.Impute(r)
-	if b.kind == ConER {
-		// The stream imputer cannot split select/impute phases itself.
-		b.breakdown.Impute += sw.Lap()
-	}
-	sw.Start()
-	prof := prune.BuildProfile(im, b.sh.Sel, b.sh.Keywords)
-
 	var pairs []Pair
-	if b.g != nil {
-		pairs = b.resolveGrid(prof)
+	var sw metrics.Stopwatch
+	if b.step != nil {
+		// Ij+GER: Step driven the way Processor drives it.
+		im, bd := b.step.Impute(r)
+		b.breakdown.Add(bd)
+		sw.Start()
+		prof := b.step.Profile(im)
+		pairs = b.step.Resolve(b.g, prof, &b.pruneStat)
 		if err := b.g.Insert(&grid.Entry{Rec: r, Prof: prof}); err != nil {
 			return nil, err
 		}
 	} else {
+		sw.Start()
+		im := b.imputer.Impute(r)
+		if b.kind == ConER {
+			// The stream imputer cannot split select/impute phases itself.
+			b.breakdown.Impute += sw.Lap()
+		}
+		sw.Start()
+		prof := prune.BuildProfile(im, b.sh.Sel, b.sh.Keywords)
 		pairs = b.resolveScan(prof)
+		b.profiles[r.RID] = prof
+		b.order[r.Stream] = append(b.order[r.Stream], r.RID)
 	}
 	b.breakdown.ER += sw.Lap()
 
-	b.profiles[r.RID] = prof
-	b.order[r.Stream] = append(b.order[r.Stream], r.RID)
 	for _, p := range pairs {
 		b.results.Add(p)
 	}
@@ -223,85 +235,4 @@ func (b *Baseline) resolveScan(q *prune.Profile) []Pair {
 		}
 	}
 	return out
-}
-
-// resolveGrid is Ij+GER's ER: grid candidates plus the pruning cascade,
-// identical to the TER-iDS refinement.
-func (b *Baseline) resolveGrid(q *prune.Profile) []Pair {
-	var out []Pair
-	for _, e := range b.g.Survivors(q, grid.Query{Gamma: b.cfg.Gamma}) {
-		b.pruneStat.Considered++
-		if prune.TopicPrune(q, e.Prof) {
-			b.pruneStat.Topic++
-			continue
-		}
-		if prune.SimPrune(q.Bounds, e.Prof.Bounds, b.cfg.Gamma) {
-			b.pruneStat.SimUB++
-			continue
-		}
-		if prune.ProbPrune(q, e.Prof, b.cfg.Gamma, b.cfg.Alpha) {
-			b.pruneStat.ProbUB++
-			continue
-		}
-		res := prune.Refine(q, e.Prof, b.cfg.Gamma, b.cfg.Alpha)
-		if res.PrunedEarly {
-			b.pruneStat.InstPair++
-			continue
-		}
-		b.pruneStat.Refined++
-		if res.Match {
-			out = append(out, newPair(q.Im.R, e.Rec, res.Prob))
-		}
-	}
-	return out
-}
-
-// indexSelectedImputer is Ij+GER's imputation: the same indexes TER-iDS
-// uses (CDD-index for rule selection, DR-index for sample retrieval), but
-// driven sequentially — one index query per rule — instead of TER-iDS's
-// batched 3-way join that shares one DR-index traversal and one set of
-// per-attribute distances across all applicable rules.
-type indexSelectedImputer struct {
-	sh        *Shared
-	cfg       Config
-	breakdown *metrics.Breakdown
-}
-
-func newIndexSelectedImputer(sh *Shared, cfg Config, b *metrics.Breakdown) *indexSelectedImputer {
-	return &indexSelectedImputer{sh: sh, cfg: cfg, breakdown: b}
-}
-
-// Name implements impute.Imputer.
-func (ii *indexSelectedImputer) Name() string { return "Ij" }
-
-// Impute implements impute.Imputer.
-func (ii *indexSelectedImputer) Impute(r *tuple.Record) *tuple.Imputed {
-	if r.IsComplete() {
-		return tuple.FromComplete(r)
-	}
-	im := &tuple.Imputed{R: r, Dists: make([]tuple.AttrDist, r.D())}
-	var sw metrics.Stopwatch
-	for j := 0; j < r.D(); j++ {
-		if !r.IsMissing(j) {
-			im.Dists[j] = tuple.Point(r.Value(j), r.Tokens(j))
-			continue
-		}
-		sw.Start()
-		var applicable []*rules.Rule
-		ii.sh.CDDIdx[j].Applicable(r, func(rule *rules.Rule) bool {
-			applicable = append(applicable, rule)
-			return true
-		})
-		ii.breakdown.Select += sw.Lap()
-
-		dom := ii.sh.Repo.Domain(j)
-		acc := impute.NewAccumulator(dom, ii.sh.DomIdx[j])
-		ii.sh.DRIdx.MatchingSamplesMulti(r, applicable, func(ri int, s *tuple.Record) bool {
-			acc.AddSample(dom.Lookup(s.Value(j)), applicable[ri].DepMin, applicable[ri].DepMax)
-			return true
-		})
-		im.Dists[j] = acc.Distribution(ii.cfg.Impute)
-		ii.breakdown.Impute += sw.Lap()
-	}
-	return im
 }

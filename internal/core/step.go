@@ -39,8 +39,7 @@ func (s *Step) Config() Config { return s.cfg }
 // NewGrid builds an empty ER-grid partition sized for profiles produced by
 // this step (same geometry the Processor uses for its single grid).
 func (s *Step) NewGrid() (*grid.Grid, error) {
-	nPiv := 1 + s.sh.Sel.MaxAux()
-	return grid.New(s.sh.Schema.D(), s.cfg.CellsPerDim, nPiv, len(s.sh.Keywords))
+	return grid.New(s.sh.Schema.D(), s.cfg.CellsPerDim)
 }
 
 // Impute is the 3-way join's imputation side: CDD-index rule selection plus

@@ -26,7 +26,7 @@ func newChurn(seed int64) *churn {
 		r:  rand.New(rand.NewSource(seed)),
 		kw: tokens.New("k0", "k1"),
 		// Attribute 0 has an auxiliary pivot, attribute 1 only the main one,
-		// so summaries carry a padded (always empty) slot too.
+		// so bounds rows differ in length.
 		sel: &pivot.Selection{PerAttr: []pivot.AttrPivots{
 			{Attr: 0, Texts: []string{"p q", "t0 t1"}, Toks: []tokens.Set{tokens.New("p", "q"), tokens.New("t0", "t1")}},
 			{Attr: 1, Texts: []string{"m n"}, Toks: []tokens.Set{tokens.New("m", "n")}},
@@ -36,7 +36,7 @@ func newChurn(seed int64) *churn {
 
 func (c *churn) grid(tb testing.TB, cellsPerDim int) *Grid {
 	tb.Helper()
-	g, err := New(2, cellsPerDim, 2, c.kw.Len())
+	g, err := New(2, cellsPerDim)
 	if err != nil {
 		tb.Fatal(err)
 	}

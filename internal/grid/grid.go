@@ -1,10 +1,10 @@
 // Package grid implements the ER-grid data synopsis of Section 5.2: a
 // sparse d-dimensional grid over the converted space [0,1]^d (main-pivot
 // Jaccard distances). An imputed tuple occupies the box of its per-attribute
-// distance intervals and is stored in every cell that box intersects. Cells
-// carry the aggregates of Section 5.2 (keyword vector, per-pivot distance
-// intervals, token-size intervals) enabling cell-level pruning before
-// tuple-level pruning.
+// distance intervals and is stored in every cell that box intersects. A cell
+// carries the union of its residents' prune.Bounds (keyword vector, per-pivot
+// distance intervals, token-size intervals), so cell-level pruning runs the
+// tuple-level rules on it.
 //
 // Three invariants hold after every operation: residents are kept in
 // insertion-ordinal order; Candidates emits each survivor exactly once, in
@@ -25,9 +25,6 @@ import (
 type Entry struct {
 	Rec  *tuple.Record
 	Prof *prune.Profile
-	// sum caches Prof.Summary at the grid's pivot width; computed on insert
-	// and compared against cell aggregates when the entry leaves.
-	sum *agg.Summary
 	// ord is the grid-assigned insertion ordinal: the deterministic order
 	// Candidates, Each and Export emit in.
 	ord int64
@@ -42,7 +39,8 @@ func (e *Entry) Ord() int64 { return e.ord }
 type cell struct {
 	id      int // row-major index of the cell's coordinates
 	entries []*Entry
-	summary *agg.Summary
+	// bounds is the union of the entries' Prof.Bounds.
+	bounds prune.Bounds
 	// stamp equals Grid.epoch iff the cell survived cell-level pruning in
 	// the Candidates call in progress.
 	stamp uint64
@@ -62,14 +60,14 @@ func (c *cell) drop(e *Entry) {
 	}
 }
 
-// shrink makes the aggregate exact again after an entry summarized by gone
-// has left a cell that still holds others. Only a bound gone attained can
-// have moved, and only such bounds are rescanned, stopping at the first
-// remaining entry that attains them too — ties (distance 1.0 to a pivot,
-// equal token counts, a shared keyword) are the common case. An empty
-// interval (a padded pivot slot, a failed imputation) attains nothing.
-func (c *cell) shrink(gone *agg.Summary) {
-	cs := c.summary
+// shrink makes the aggregate exact again after an entry with bounds gone has
+// left a cell that still holds others. Only a bound gone attained can have
+// moved, and only such bounds are rescanned, stopping at the first remaining
+// entry that attains them too — ties (distance 1.0 to a pivot, equal token
+// counts, a shared keyword) are the common case. An empty interval (a failed
+// imputation) attains nothing.
+func (c *cell) shrink(gone prune.Bounds) {
+	cs := c.bounds
 	for x := range cs.Dist {
 		for a := range cs.Dist[x] {
 			iv, was := &cs.Dist[x][a], gone.Dist[x][a]
@@ -84,7 +82,7 @@ func (c *cell) shrink(gone *agg.Summary) {
 				if lo == iv.Lo && hi == iv.Hi {
 					break
 				}
-				o := r.sum.Dist[x][a]
+				o := r.Prof.Dist[x][a]
 				lo, hi = min(lo, o.Lo), max(hi, o.Hi)
 			}
 			iv.Lo, iv.Hi = lo, hi
@@ -101,7 +99,7 @@ func (c *cell) shrink(gone *agg.Summary) {
 			if lo == iv.Lo && hi == iv.Hi {
 				break
 			}
-			o := r.sum.Size[x]
+			o := r.Prof.Size[x]
 			lo, hi = min(lo, o.Lo), max(hi, o.Hi)
 		}
 		iv.Lo, iv.Hi = lo, hi
@@ -112,7 +110,7 @@ func (c *cell) shrink(gone *agg.Summary) {
 		}
 		carried := false
 		for _, r := range c.entries {
-			if carried = r.sum.KW.Get(i); carried {
+			if carried = r.Prof.KW.Get(i); carried {
 				break
 			}
 		}
@@ -125,10 +123,8 @@ func (c *cell) shrink(gone *agg.Summary) {
 // Grid is the ER-grid G_ER. It is not safe for concurrent use, queries
 // included: Candidates stamps cells.
 type Grid struct {
-	d    int // attributes (grid dimensionality)
-	n    int // cells per dimension
-	nPiv int // pivot slots in summaries
-	nKW  int // keyword vector width
+	d int // attributes (grid dimensionality)
+	n int // cells per dimension
 
 	cells map[int]*cell     // materialized (non-empty) cells by id
 	recs  map[string]*Entry // rid -> entry
@@ -144,18 +140,17 @@ type Grid struct {
 }
 
 // New creates a grid with cellsPerDim cells along each of the d dimensions.
-func New(d, cellsPerDim, nPiv, nKW int) (*Grid, error) {
+// Its residents' profiles must share one pivot selection and keyword set, so
+// that their Bounds have one shape.
+func New(d, cellsPerDim int) (*Grid, error) {
 	if d < 1 || cellsPerDim < 1 {
 		return nil, fmt.Errorf("grid: bad geometry d=%d cells=%d", d, cellsPerDim)
-	}
-	if nPiv < 1 {
-		return nil, fmt.Errorf("grid: need at least the main pivot, got %d", nPiv)
 	}
 	if math.Pow(float64(cellsPerDim), float64(d)) >= math.MaxInt {
 		return nil, fmt.Errorf("grid: %d^%d cells overflow the cell id", cellsPerDim, d)
 	}
 	return &Grid{
-		d: d, n: cellsPerDim, nPiv: nPiv, nKW: nKW,
+		d: d, n: cellsPerDim,
 		cells: make(map[int]*cell),
 		recs:  make(map[string]*Entry),
 		lo:    make([]int, d), hi: make([]int, d), idx: make([]int, d),
@@ -190,18 +185,20 @@ func (g *Grid) Insert(e *Entry) error {
 	if _, dup := g.recs[rid]; dup {
 		return fmt.Errorf("grid: duplicate insert of %s", rid)
 	}
-	lo, hi := e.Prof.MainBox()
-	if len(lo) != g.d {
-		return fmt.Errorf("grid: entry dimensionality %d, grid %d", len(lo), g.d)
+	if n := len(e.Prof.Dist); n != g.d {
+		return fmt.Errorf("grid: entry dimensionality %d, grid %d", n, g.d)
 	}
+	// The entry's box is its main-pivot distance intervals; an attribute
+	// with no candidate spans the whole axis.
 	total := 1
 	for x := range g.idx {
-		g.lo[x], g.hi[x] = g.coord(lo[x]), g.coord(hi[x])
+		lo, hi := 0.0, 1.0
+		if iv := e.Prof.Dist[x][0]; !iv.IsEmpty() {
+			lo, hi = iv.Lo, iv.Hi
+		}
+		g.lo[x], g.hi[x] = g.coord(lo), g.coord(hi)
 		g.idx[x] = g.lo[x]
 		total *= g.hi[x] - g.lo[x] + 1
-	}
-	if e.sum == nil {
-		e.sum = e.Prof.Summary(g.nPiv)
 	}
 	g.nextOrd++
 	e.ord = g.nextOrd
@@ -217,12 +214,13 @@ func (g *Grid) Insert(e *Entry) error {
 			id = id*g.n + v
 		}
 		c, ok := g.cells[id]
-		if !ok {
-			c = &cell{id: id, summary: agg.NewSummary(g.d, g.nPiv, g.nKW)}
+		if ok {
+			c.bounds.Merge(e.Prof.Bounds)
+		} else {
+			c = &cell{id: id, bounds: e.Prof.Bounds.Clone()}
 			g.cells[id] = c
 		}
 		c.entries = append(c.entries, e)
-		c.summary.Merge(e.sum)
 		e.cells = append(e.cells, c)
 		for x = g.d - 1; x >= 0; x-- {
 			if g.idx[x]++; g.idx[x] <= g.hi[x] {
@@ -251,7 +249,7 @@ func (g *Grid) Remove(rid string) bool {
 		if len(c.entries) == 0 {
 			delete(g.cells, c.id)
 		} else {
-			c.shrink(e.sum)
+			c.shrink(e.Prof.Bounds)
 		}
 	}
 	e.cells = nil
@@ -353,13 +351,12 @@ func (g *Grid) Candidates(q *prune.Profile, opt Query, visit func(*Entry) bool) 
 		stats.CellsVisited++
 		// Cell-level topic pruning: if the query tuple can never carry a
 		// keyword, only cells that may contain one can form result pairs.
-		if !opt.DisableTopic && !q.MayKW && !c.summary.KW.Any() {
+		if !opt.DisableTopic && !q.MayKW && !c.bounds.KW.Any() {
 			stats.CellsPruned++
 			continue
 		}
 		// Cell-level similarity upper bound over the cell aggregate.
-		cb := prune.Bounds{Dist: c.summary.Dist, Size: c.summary.Size}
-		if !opt.DisableSim && prune.SimPrune(q.Bounds, cb, opt.Gamma) {
+		if !opt.DisableSim && prune.SimPrune(q.Bounds, c.bounds, opt.Gamma) {
 			stats.CellsPruned++
 			continue
 		}

@@ -28,7 +28,7 @@ func entry(t *testing.T, rid string, stream int, a, b string, kw tokens.Set) *En
 
 func mustGrid(t *testing.T, d, n int) *Grid {
 	t.Helper()
-	g, err := New(d, n, 1, 1)
+	g, err := New(d, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +36,8 @@ func mustGrid(t *testing.T, d, n int) *Grid {
 }
 
 func TestNewValidation(t *testing.T) {
-	for _, bad := range [][4]int{{0, 5, 1, 1}, {2, 0, 1, 1}, {2, 5, 0, 1}} {
-		if _, err := New(bad[0], bad[1], bad[2], bad[3]); err == nil {
+	for _, bad := range [][2]int{{0, 5}, {2, 0}} {
+		if _, err := New(bad[0], bad[1]); err == nil {
 			t.Errorf("New(%v) must fail", bad)
 		}
 	}
@@ -198,7 +198,7 @@ func TestCandidatesNeverMissesAgainstBruteForce(t *testing.T) {
 	}
 	sel := sel2()
 	for trial := 0; trial < 30; trial++ {
-		g, err := New(2, 4, 1, kw.Len())
+		g, err := New(2, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestCandidatesNeverMissesAgainstBruteForce(t *testing.T) {
 			return true
 		})
 		for _, e := range resident {
-			sim := q.Instances[0].Sim(e.Prof.Instances[0])
+			sim := tuple.Sim(qrec, e.Rec)
 			kwOK := q.MayKW || e.Prof.MayKW
 			if sim > gamma && kwOK && !got[e.Rec.RID] {
 				t.Fatalf("trial %d: grid missed %s with sim %v > gamma %v", trial, e.Rec.RID, sim, gamma)

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"terids/internal/agg"
 	"terids/internal/prune"
 	"terids/internal/tokens"
 	"terids/internal/tuple"
@@ -21,9 +20,9 @@ func checkInvariants(t *testing.T, g *Grid, when string) {
 		if c.id != id || len(c.entries) == 0 {
 			t.Fatalf("%s: cell %d has id %d and %d entries", when, id, c.id, len(c.entries))
 		}
-		fresh := agg.NewSummary(g.d, g.nPiv, g.nKW)
+		fresh := c.entries[0].Prof.Bounds.Clone()
 		for _, e := range c.entries {
-			fresh.Merge(e.sum)
+			fresh.Merge(e.Prof.Bounds)
 			back := false
 			for _, ec := range e.cells {
 				back = back || ec == c
@@ -32,9 +31,9 @@ func checkInvariants(t *testing.T, g *Grid, when string) {
 				t.Fatalf("%s: cell %d holds %s, which does not list it", when, id, e.Rec.RID)
 			}
 		}
-		if !reflect.DeepEqual(fresh, c.summary) {
+		if !reflect.DeepEqual(fresh, c.bounds) {
 			t.Fatalf("%s: cell %d aggregate drifted from its %d entries:\n have %+v\n want %+v",
-				when, id, len(c.entries), c.summary, fresh)
+				when, id, len(c.entries), c.bounds, fresh)
 		}
 		held += len(c.entries)
 	}
@@ -64,10 +63,10 @@ func checkCandidates(t *testing.T, g *Grid, q *prune.Profile, gamma float64, whe
 	t.Helper()
 	want := map[*Entry]bool{}
 	for _, c := range g.cells {
-		if !q.MayKW && !c.summary.KW.Any() {
+		if !q.MayKW && !c.bounds.KW.Any() {
 			continue
 		}
-		if prune.SimPrune(q.Bounds, prune.Bounds{Dist: c.summary.Dist, Size: c.summary.Size}, gamma) {
+		if prune.SimPrune(q.Bounds, c.bounds, gamma) {
 			continue
 		}
 		for _, e := range c.entries {

@@ -17,7 +17,7 @@ func TestRandomInsertRemoveConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	kw := tokens.New("k")
 	sel := sel2()
-	g, err := New(2, 4, 1, 1)
+	g, err := New(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestAblationFlagsWidenCandidates(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	kw := tokens.New("t0")
 	sel := sel2()
-	g, err := New(2, 4, 1, 1)
+	g, err := New(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,17 +81,6 @@ func (s *Selection) Main(x int) tokens.Set { return s.PerAttr[x].Main() }
 // NumPivots returns n_x for attribute x.
 func (s *Selection) NumPivots(x int) int { return s.PerAttr[x].NumPivots() }
 
-// MaxAux returns the largest auxiliary pivot count over all attributes.
-func (s *Selection) MaxAux() int {
-	m := 0
-	for i := range s.PerAttr {
-		if n := s.PerAttr[i].NumPivots() - 1; n > m {
-			m = n
-		}
-	}
-	return m
-}
-
 // Convert maps a token set to its converted coordinate on attribute x:
 // the Jaccard distance to the main pivot.
 func (s *Selection) Convert(x int, toks tokens.Set) float64 {

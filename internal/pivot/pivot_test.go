@@ -166,7 +166,7 @@ func TestSelectMaxCandidates(t *testing.T) {
 	}
 }
 
-func TestConvertAndMaxAux(t *testing.T) {
+func TestConvert(t *testing.T) {
 	repo := buildRepo(t, [][2]string{{"a b", "x"}, {"c d", "x"}})
 	sel, err := Select(repo, Config{Buckets: 4, MinEntropy: 0.01, CntMax: 2})
 	if err != nil {
@@ -178,8 +178,5 @@ func TestConvertAndMaxAux(t *testing.T) {
 	}
 	if got := sel.Convert(0, tokens.New("zzz")); got != 1 {
 		t.Fatalf("Convert(disjoint) = %v, want 1", got)
-	}
-	if sel.MaxAux() < 0 {
-		t.Fatal("MaxAux must be >= 0")
 	}
 }

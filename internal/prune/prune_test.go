@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"terids/internal/agg"
@@ -53,12 +54,8 @@ func TestBuildProfileComplete(t *testing.T) {
 	if !p.MayKW || !p.KW.Get(0) {
 		t.Fatal("keyword flags wrong")
 	}
-	if len(p.Instances) != 1 || !p.Instances[0].HasKeyword {
-		t.Fatal("instances wrong")
-	}
-	lo, hi := p.MainBox()
-	if lo[0] != 0 || hi[0] != 0 {
-		t.Fatalf("MainBox wrong: %v %v", lo, hi)
+	if len(p.inst) != 1 || p.inst[0] != (instance{p: 1, kw: true}) {
+		t.Fatalf("instances wrong: %+v", p.inst)
 	}
 }
 
@@ -81,8 +78,8 @@ func TestBuildProfileImputed(t *testing.T) {
 	if p.MayKW {
 		t.Fatal("no flu keyword anywhere")
 	}
-	if len(p.Instances) != 2 {
-		t.Fatalf("instances = %d, want 2", len(p.Instances))
+	if len(p.inst) != 2 {
+		t.Fatalf("instances = %d, want 2", len(p.inst))
 	}
 }
 
@@ -181,9 +178,9 @@ func TestBoundsSafety(t *testing.T) {
 
 		ub := SimUpperBound(pa.Bounds, pb.Bounds)
 		maxSim := 0.0
-		for _, ia := range pa.Instances {
-			for _, ib := range pb.Instances {
-				if s := ia.Sim(ib); s > maxSim {
+		for _, ia := range oracleInstances(pa.Im, kw) {
+			for _, ib := range oracleInstances(pb.Im, kw) {
+				if s := oracleSim(ia, ib); s > maxSim {
 					maxSim = s
 				}
 			}
@@ -303,4 +300,321 @@ func manualProfile(exps [3]float64, dists [3][2]float64) *Profile {
 		p.Size[x] = agg.IntInterval{Lo: 1, Hi: 1}
 	}
 	return p
+}
+
+// TestBuildProfileInstancesCrossProduct pins the instance enumeration of
+// Definition 4: the cross product of the candidate lists with attribute 0
+// slowest, joint probabilities, and a topic flag per instance.
+func TestBuildProfileInstancesCrossProduct(t *testing.T) {
+	p := imputedProfile(t, "x", "known", []tuple.Candidate{
+		{Text: "v1", Toks: tokens.New("v1"), P: 0.75},
+		{Text: "diabetes", Toks: tokens.New("diabetes"), P: 0.25},
+	}, tokens.New("diabetes"))
+	want := []instance{{p: 0.75}, {p: 0.25, kw: true}}
+	if !reflect.DeepEqual(p.inst, want) {
+		t.Fatalf("instances = %+v, want %+v", p.inst, want)
+	}
+}
+
+// TestEquation2Sim pins Definition 5 over candidate tables: the similarity of
+// an instance pair is the sum of its per-attribute Jaccards.
+func TestEquation2Sim(t *testing.T) {
+	kw := tokens.New("x")
+	a := imputedProfile(t, "a", "x y", []tuple.Candidate{{Toks: tokens.New("p"), P: 1}}, kw)
+	b := imputedProfile(t, "b", "x y", []tuple.Candidate{{Toks: tokens.New("q"), P: 1}}, kw)
+	if got := ExactProbability(a, b, 0.999); got != 1 {
+		t.Fatalf("sim 1 + 0 must exceed 0.999: probability %v", got)
+	}
+	if got := ExactProbability(a, b, 1); got != 0 {
+		t.Fatalf("sim 1 + 0 must not exceed 1: probability %v", got)
+	}
+}
+
+func TestBoundsMerge(t *testing.T) {
+	a := completeProfile(t, "a", "p q", "k", tokens.New("k", "z")).Bounds.Clone()
+	b := completeProfile(t, "b", "x y z", "m n", tokens.New("k", "z")).Bounds
+	a.Merge(b)
+	if !a.KW.Get(0) || !a.KW.Get(1) {
+		t.Fatalf("KW merge = %v", a.KW)
+	}
+	if a.Dist[0][0] != (agg.Interval{Lo: 0, Hi: 1}) || a.Dist[1][0] != (agg.Interval{Lo: 0, Hi: 1}) {
+		t.Fatalf("Dist merge = %+v", a.Dist)
+	}
+	if a.Size[0] != (agg.IntInterval{Lo: 2, Hi: 3}) || a.Size[1] != (agg.IntInterval{Lo: 1, Hi: 2}) {
+		t.Fatalf("Size merge = %+v", a.Size)
+	}
+}
+
+func TestBoundsClone(t *testing.T) {
+	p := completeProfile(t, "a", "p q", "k", tokens.New("k", "z"))
+	c := p.Bounds.Clone()
+	c.Merge(completeProfile(t, "b", "x y z", "z m n", tokens.New("k", "z")).Bounds)
+	if p.KW.Get(1) || p.Dist[0][0].Hi != 0 || p.Size[1].Hi != 1 {
+		t.Fatal("Clone must be independent")
+	}
+	if !reflect.DeepEqual(p.Bounds.Clone(), p.Bounds) {
+		t.Fatal("Clone must equal its source")
+	}
+}
+
+// TestQuickBoundsMergeMonotone: merging never shrinks any component, and an
+// empty slot (a failed imputation) contributes nothing.
+func TestQuickBoundsMergeMonotone(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	kw := tokens.New("a", "e")
+	sel := sel2()
+	for trial := 0; trial < 1000; trial++ {
+		ims := []*tuple.Imputed{randomImputed(r, "a", 0), randomImputed(r, "b", 1)}
+		if r.Intn(4) == 0 {
+			ims[1].Dists[1] = tuple.AttrDist{}
+		}
+		a, b := BuildProfile(ims[0], sel, kw).Bounds, BuildProfile(ims[1], sel, kw).Bounds
+		merged := a.Clone()
+		merged.Merge(b)
+		for _, src := range []Bounds{a, b} {
+			for x := range src.Dist {
+				for p, iv := range src.Dist[x] {
+					if m := merged.Dist[x][p]; !iv.IsEmpty() && (m.Lo > iv.Lo || m.Hi < iv.Hi) {
+						t.Fatalf("trial %d: merged interval %v does not cover input %v", trial, m, iv)
+					}
+				}
+				if m, sz := merged.Size[x], src.Size[x]; !sz.IsEmpty() && (m.Lo > sz.Lo || m.Hi < sz.Hi) {
+					t.Fatalf("trial %d: merged size %v does not cover input %v", trial, m, sz)
+				}
+			}
+			for i := 0; i < kw.Len(); i++ {
+				if src.KW.Get(i) && !merged.KW.Get(i) {
+					t.Fatalf("trial %d: merged KW lost bit %d", trial, i)
+				}
+			}
+		}
+	}
+}
+
+// oracleInstance is one instance the way Equation 2 was first computed here:
+// materialised with its own token sets.
+type oracleInstance struct {
+	toks []tokens.Set
+	p    float64
+	kw   bool
+}
+
+// oracleInstances enumerates Definition 4 recursively, attribute 0 slowest.
+func oracleInstances(im *tuple.Imputed, keywords tokens.Set) []oracleInstance {
+	d := len(im.Dists)
+	var out []oracleInstance
+	toks := make([]tokens.Set, d)
+	kw := make([]bool, d)
+	var rec func(j int, p float64)
+	rec = func(j int, p float64) {
+		if j == d {
+			inst := oracleInstance{toks: append([]tokens.Set(nil), toks...), p: p}
+			for _, h := range kw {
+				inst.kw = inst.kw || h
+			}
+			out = append(out, inst)
+			return
+		}
+		for _, c := range im.Dists[j].Cands {
+			toks[j] = c.Toks
+			kw[j] = c.Toks.ContainsAny(keywords)
+			rec(j+1, p*c.P)
+		}
+	}
+	rec(0, 1)
+	return out
+}
+
+func oracleSim(a, b oracleInstance) float64 {
+	total := 0.0
+	for j := range a.toks {
+		total += tokens.Jaccard(a.toks[j], b.toks[j])
+	}
+	return total
+}
+
+// oracleRefine is Refine over materialised instances.
+func oracleRefine(as, bs []oracleInstance, gamma, alpha float64) RefineResult {
+	var res RefineResult
+	sum, processed := 0.0, 0.0
+	for _, ia := range as {
+		for _, ib := range bs {
+			mass := ia.p * ib.p
+			if (ia.kw || ib.kw) && oracleSim(ia, ib) > gamma {
+				sum += mass
+			}
+			processed += mass
+			res.PairsChecked++
+			if sum > alpha {
+				res.Prob, res.Match = sum, true
+				return res
+			}
+			if sum+(1-processed) <= alpha {
+				res.Prob, res.PrunedEarly = sum, true
+				return res
+			}
+		}
+	}
+	res.Prob, res.Match = sum, sum > alpha
+	return res
+}
+
+// oracleExact is Equation 2 over materialised instances, with the topic test
+// before or after the similarity.
+func oracleExact(as, bs []oracleInstance, gamma float64, topicFirst bool) float64 {
+	sum := 0.0
+	for _, ia := range as {
+		for _, ib := range bs {
+			var hit bool
+			if topicFirst {
+				hit = (ia.kw || ib.kw) && oracleSim(ia, ib) > gamma
+			} else {
+				hit = oracleSim(ia, ib) > gamma && (ia.kw || ib.kw)
+			}
+			if hit {
+				sum += ia.p * ib.p
+			}
+		}
+	}
+	return sum
+}
+
+// eq2Case generates profile pairs for the Equation 2 tests: d attributes,
+// each with its own pivots, and candidates over a vocabulary small enough
+// that similarities tie and keywords come and go.
+type eq2Case struct {
+	r      *rand.Rand
+	schema *tuple.Schema
+	sel    *pivot.Selection
+	kw     tokens.Set
+}
+
+var eq2Vocab = []string{"a", "b", "c", "d", "e", "k0", "k1"}
+
+func newEq2Case(r *rand.Rand, d int) *eq2Case {
+	c := &eq2Case{r: r, kw: tokens.New("k0", "k1"), sel: &pivot.Selection{}}
+	attrs := make([]string, d)
+	for x := range attrs {
+		attrs[x] = fmt.Sprintf("A%d", x)
+		ap := pivot.AttrPivots{Attr: x}
+		for a := 0; a <= r.Intn(2); a++ {
+			toks := c.tokens()
+			ap.Texts, ap.Toks = append(ap.Texts, toks.String()), append(ap.Toks, toks)
+		}
+		c.sel.PerAttr = append(c.sel.PerAttr, ap)
+	}
+	c.schema = tuple.MustSchema(attrs...)
+	return c
+}
+
+// tokens draws a token set, empty one time in six.
+func (c *eq2Case) tokens() tokens.Set {
+	var ts []string
+	for i := c.r.Intn(6); i > 0; i-- {
+		ts = append(ts, eq2Vocab[c.r.Intn(len(eq2Vocab))])
+	}
+	return tokens.New(ts...)
+}
+
+// imputed draws 1–6 candidates per attribute, at most maxInst instances.
+func (c *eq2Case) imputed(rid string, maxInst int) *tuple.Imputed {
+	d := c.schema.D()
+	vals := make([]string, d)
+	for x := range vals {
+		vals[x] = tuple.Missing
+	}
+	im := &tuple.Imputed{R: tuple.MustRecord(c.schema, rid, 0, 0, vals), Dists: make([]tuple.AttrDist, d)}
+	n := 1
+	for _, x := range c.r.Perm(d) {
+		k := 1 + c.r.Intn(6)
+		for n*k > maxInst {
+			k--
+		}
+		n *= k
+		for i := 0; i < k; i++ {
+			toks := c.tokens()
+			im.Dists[x].Cands = append(im.Dists[x].Cands, tuple.Candidate{Text: toks.String(), Toks: toks, P: c.r.Float64()})
+		}
+		im.Dists[x].Normalize()
+	}
+	return im
+}
+
+// TestRefineMatchesInstanceEnumeration is the differential test of Equation
+// 2 over candidate tables against the materialised-instance enumeration it
+// replaced: Refine's every field, and both exact orders, bit for bit. γ is a
+// similarity some instance pair attains, so the strict > is exercised.
+func TestRefineMatchesInstanceEnumeration(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	pairs := 0
+	for trial := 0; trial < 5000; trial++ {
+		c := newEq2Case(r, 1+r.Intn(4))
+		ima, imb := c.imputed("a", 36), c.imputed("b", 36)
+		pa, pb := BuildProfile(ima, c.sel, c.kw), BuildProfile(imb, c.sel, c.kw)
+		oa, ob := oracleInstances(ima, c.kw), oracleInstances(imb, c.kw)
+		if len(pa.inst) != len(oa) || len(pb.inst) != len(ob) {
+			t.Fatalf("trial %d: %d/%d instances, enumeration has %d/%d", trial, len(pa.inst), len(pb.inst), len(oa), len(ob))
+		}
+		for i, o := range oa {
+			if pa.inst[i] != (instance{p: o.p, kw: o.kw}) {
+				t.Fatalf("trial %d: instance %d = %+v, enumeration %+v", trial, i, pa.inst[i], o)
+			}
+		}
+		gamma := oracleSim(oa[r.Intn(len(oa))], ob[r.Intn(len(ob))])
+		for _, alpha := range []float64{0, 0.3, 0.5, 0.99} {
+			if got, want := Refine(pa, pb, gamma, alpha), oracleRefine(oa, ob, gamma, alpha); got != want {
+				t.Fatalf("trial %d (d=%d, γ=%v, α=%v): Refine = %+v, enumeration %+v", trial, len(ima.Dists), gamma, alpha, got, want)
+			}
+		}
+		if got, want := ExactProbability(pa, pb, gamma), oracleExact(oa, ob, gamma, true); got != want {
+			t.Fatalf("trial %d: ExactProbability = %v, enumeration %v", trial, got, want)
+		}
+		if got, want := ExactProbabilityFullER(pa, pb, gamma), oracleExact(oa, ob, gamma, false); got != want {
+			t.Fatalf("trial %d: ExactProbabilityFullER = %v, enumeration %v", trial, got, want)
+		}
+		pairs++
+	}
+	if pairs < 5000 {
+		t.Fatalf("only %d profile pairs compared", pairs)
+	}
+}
+
+// TestRefineAllocatesNothing covers single-instance pairs and the largest
+// pairs the benchmark workloads produce: d = 4 with two 6-candidate
+// attributes per side, 36 × 36 instance pairs walked to the end.
+func TestRefineAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	c := newEq2Case(r, 4)
+	mk := func(rid string) *Profile {
+		im := c.imputed(rid, 1)
+		for _, x := range []int{1, 3} {
+			im.Dists[x].Cands = nil
+			for i := 0; i < 6; i++ {
+				toks := c.tokens()
+				im.Dists[x].Cands = append(im.Dists[x].Cands, tuple.Candidate{Toks: toks, P: 1.0 / 6})
+			}
+		}
+		return BuildProfile(im, c.sel, c.kw)
+	}
+	for d := 1; d <= 4; d++ {
+		cd := newEq2Case(r, d)
+		for _, maxInst := range []int{1, 36} {
+			a, b := BuildProfile(cd.imputed("a", maxInst), cd.sel, cd.kw), BuildProfile(cd.imputed("b", maxInst), cd.sel, cd.kw)
+			if n := testing.AllocsPerRun(50, func() { Refine(a, b, 0.5, 0.99) }); n != 0 {
+				t.Fatalf("d=%d, ≤ %d instances: Refine allocates %v per call", d, maxInst, n)
+			}
+		}
+	}
+	a, b := mk("a"), mk("b")
+	if len(a.inst) != 36 || len(b.inst) != 36 {
+		t.Fatalf("instances %d × %d, want 36 × 36", len(a.inst), len(b.inst))
+	}
+	// γ = d: no similarity exceeds it, so nothing matches, and at α = 0
+	// Theorem 4.4 cannot stop the walk before the last pair.
+	if res := Refine(a, b, 4, 0); res.PairsChecked != 36*36 {
+		t.Fatalf("walk stopped after %d pairs", res.PairsChecked)
+	}
+	if n := testing.AllocsPerRun(50, func() { Refine(a, b, 4, 0) }); n != 0 {
+		t.Fatalf("36 × 36: Refine allocates %v per call", n)
+	}
 }

@@ -1,7 +1,6 @@
 package tuple
 
 import (
-	"fmt"
 	"sort"
 
 	"terids/internal/tokens"
@@ -58,26 +57,10 @@ func (d *AttrDist) Truncate(cap int) {
 	d.Normalize()
 }
 
-// SizeInterval returns the minimum and maximum token-set sizes over the
-// candidates (|T−| and |T+| of Lemma 4.1).
-func (d *AttrDist) SizeInterval() (min, max int) {
-	if len(d.Cands) == 0 {
-		return 0, 0
-	}
-	min, max = d.Cands[0].Toks.Len(), d.Cands[0].Toks.Len()
-	for _, c := range d.Cands[1:] {
-		if n := c.Toks.Len(); n < min {
-			min = n
-		} else if n > max {
-			max = n
-		}
-	}
-	return min, max
-}
-
 // Imputed is the imputed (probabilistic) version r^p of an incomplete record
-// (Definition 4): one candidate distribution per attribute. Instances are
-// the cross product of per-attribute candidates.
+// (Definition 4): one candidate distribution per attribute. Its instances
+// are the cross product of the per-attribute candidates; prune.BuildProfile
+// enumerates them.
 type Imputed struct {
 	R     *Record
 	Dists []AttrDist
@@ -107,104 +90,6 @@ func (im *Imputed) InstanceCount() int {
 		n *= len(d.Cands)
 	}
 	return n
-}
-
-// Instance is one fully concrete possibility r_{i,m} of an imputed tuple,
-// with its joint existence probability and a precomputed topic flag.
-type Instance struct {
-	// Toks holds the d token sets of this instance.
-	Toks []tokens.Set
-	// P is the joint existence probability r_{i,m}.p.
-	P float64
-	// HasKeyword caches ϖ(r_{i,m}, K) for the keyword set the instances
-	// were enumerated with.
-	HasKeyword bool
-}
-
-// Sim returns the Definition 5 similarity between two instances.
-func (a Instance) Sim(b Instance) float64 {
-	if len(a.Toks) != len(b.Toks) {
-		panic(fmt.Sprintf("tuple: instance dimension mismatch %d vs %d", len(a.Toks), len(b.Toks)))
-	}
-	total := 0.0
-	for j := range a.Toks {
-		total += tokens.Jaccard(a.Toks[j], b.Toks[j])
-	}
-	return total
-}
-
-// Instances enumerates all instances of the imputed tuple as the cross
-// product of per-attribute candidates, computing joint probabilities and
-// keyword flags against keywords. The enumeration order is deterministic.
-func (im *Imputed) Instances(keywords tokens.Set) []Instance {
-	d := len(im.Dists)
-	out := make([]Instance, 0, im.InstanceCount())
-	toks := make([]tokens.Set, d)
-	// kw[j] marks whether the currently chosen candidate of attribute j
-	// contains a keyword.
-	kw := make([]bool, d)
-	var rec func(j int, p float64)
-	rec = func(j int, p float64) {
-		if j == d {
-			inst := Instance{Toks: append([]tokens.Set(nil), toks...), P: p}
-			for _, h := range kw {
-				if h {
-					inst.HasKeyword = true
-					break
-				}
-			}
-			out = append(out, inst)
-			return
-		}
-		for _, c := range im.Dists[j].Cands {
-			toks[j] = c.Toks
-			kw[j] = c.Toks.ContainsAny(keywords)
-			rec(j+1, p*c.P)
-		}
-	}
-	rec(0, 1)
-	return out
-}
-
-// MayContainKeyword reports whether any instance of the imputed tuple
-// contains a query keyword (the condition of Theorem 4.1: if false for both
-// tuples of a pair, the pair is safely pruned).
-func (im *Imputed) MayContainKeyword(keywords tokens.Set) bool {
-	for _, d := range im.Dists {
-		for _, c := range d.Cands {
-			if c.Toks.ContainsAny(keywords) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// MustContainKeyword reports whether every instance contains a keyword,
-// i.e. some attribute has all candidates keyword-bearing.
-func (im *Imputed) MustContainKeyword(keywords tokens.Set) bool {
-	for _, d := range im.Dists {
-		if len(d.Cands) == 0 {
-			continue
-		}
-		all := true
-		for _, c := range d.Cands {
-			if !c.Toks.ContainsAny(keywords) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
-}
-
-// SizeInterval returns the token-set size interval of attribute j over all
-// candidates.
-func (im *Imputed) SizeInterval(j int) (min, max int) {
-	return im.Dists[j].SizeInterval()
 }
 
 // TotalMass returns the sum of instance probabilities (≤ 1 per

@@ -173,84 +173,8 @@ func TestFromCompleteAndInstances(t *testing.T) {
 	if im.InstanceCount() != 1 {
 		t.Fatalf("InstanceCount = %d, want 1", im.InstanceCount())
 	}
-	inst := im.Instances(tokens.New("gamma"))
-	if len(inst) != 1 || inst[0].P != 1 {
-		t.Fatalf("instances = %v", inst)
-	}
-	if !inst[0].HasKeyword {
-		t.Error("instance must carry keyword flag")
-	}
 	if math.Abs(im.TotalMass()-1) > 1e-12 {
 		t.Errorf("TotalMass = %v, want 1", im.TotalMass())
-	}
-}
-
-func TestInstancesCrossProduct(t *testing.T) {
-	s := MustSchema("a", "b")
-	r := MustRecord(s, "x", 0, 0, []string{"known", "-"})
-	im := &Imputed{R: r, Dists: []AttrDist{
-		Point("known", tokens.New("known")),
-		{Cands: []Candidate{
-			{Text: "v1", Toks: tokens.New("v1"), P: 0.75},
-			{Text: "diabetes", Toks: tokens.New("diabetes"), P: 0.25},
-		}},
-	}}
-	insts := im.Instances(tokens.New("diabetes"))
-	if len(insts) != 2 {
-		t.Fatalf("len(instances) = %d, want 2", len(insts))
-	}
-	if insts[0].HasKeyword || !insts[1].HasKeyword {
-		t.Errorf("keyword flags wrong: %v %v", insts[0].HasKeyword, insts[1].HasKeyword)
-	}
-	if math.Abs(insts[0].P-0.75) > 1e-12 || math.Abs(insts[1].P-0.25) > 1e-12 {
-		t.Errorf("instance probabilities wrong: %v", insts)
-	}
-}
-
-func TestMayMustContainKeyword(t *testing.T) {
-	s := MustSchema("a")
-	r := MustRecord(s, "x", 0, 0, []string{"-"})
-	kw := tokens.New("diabetes")
-	im := &Imputed{R: r, Dists: []AttrDist{{Cands: []Candidate{
-		{Text: "diabetes", Toks: tokens.New("diabetes"), P: 0.5},
-		{Text: "flu", Toks: tokens.New("flu"), P: 0.5},
-	}}}}
-	if !im.MayContainKeyword(kw) {
-		t.Error("MayContainKeyword must be true")
-	}
-	if im.MustContainKeyword(kw) {
-		t.Error("MustContainKeyword must be false (flu candidate)")
-	}
-	im2 := &Imputed{R: r, Dists: []AttrDist{{Cands: []Candidate{
-		{Text: "diabetes one", Toks: tokens.New("diabetes", "one"), P: 0.5},
-		{Text: "diabetes two", Toks: tokens.New("diabetes", "two"), P: 0.5},
-	}}}}
-	if !im2.MustContainKeyword(kw) {
-		t.Error("MustContainKeyword must be true when every candidate has it")
-	}
-}
-
-func TestSizeInterval(t *testing.T) {
-	d := AttrDist{Cands: []Candidate{
-		{Toks: tokens.New("a", "b", "c")},
-		{Toks: tokens.New("a")},
-		{Toks: tokens.New("a", "b")},
-	}}
-	min, max := d.SizeInterval()
-	if min != 1 || max != 3 {
-		t.Fatalf("SizeInterval = (%d, %d), want (1, 3)", min, max)
-	}
-	empty := AttrDist{}
-	if mn, mx := empty.SizeInterval(); mn != 0 || mx != 0 {
-		t.Fatal("empty distribution size interval must be (0,0)")
-	}
-}
-
-func TestInstanceSim(t *testing.T) {
-	a := Instance{Toks: []tokens.Set{tokens.New("x", "y"), tokens.New("p")}}
-	b := Instance{Toks: []tokens.Set{tokens.New("x", "y"), tokens.New("q")}}
-	if got := a.Sim(b); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("Instance.Sim = %v, want 1", got)
 	}
 }
 
