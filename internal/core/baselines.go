@@ -17,9 +17,9 @@ type BaselineKind int
 // The five baselines plus the straightforward reference method.
 const (
 	// IjGER is the indexed competitor: CDD-index rule selection, DR-index
-	// sample retrieval, ER-grid resolution. With the DR-index one flat scan
-	// of R, querying it rule by rule and TER-iDS's 3-way join are the same
-	// loop, so Ij+GER runs core.Step — the TER-iDS code itself.
+	// sample retrieval, ER-grid resolution. One DR-index call for all of an
+	// imputation's rules visits the same (rule, sample) pairs as one call
+	// per rule, so Ij+GER runs core.Step — the TER-iDS code itself.
 	IjGER BaselineKind = iota
 	// CDDER imputes via CDD rules without any index, then resolves by
 	// scanning the whole window.

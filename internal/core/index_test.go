@@ -36,6 +36,9 @@ func prepareDataset(t *testing.T, profile string, xi float64) (*dataset.Data, *S
 // hand-written fixture reproduces: every candidate of every imputed
 // distribution must be the same text with the same probability, and the
 // DR-index must report exactly the (rule, sample) pairs SampleMatches accepts.
+// The DR-index must also filter: no call verifies all of R (what a rule with
+// no filtering determinant costs), and all calls together verify at most
+// 15 % of calls × |R|.
 func TestImputeMatchesRuleImputer(t *testing.T) {
 	for _, profile := range []string{"Citations", "EBooks"} {
 		for _, xi := range []float64{0.3, 0.8} {
@@ -51,6 +54,7 @@ func TestImputeMatchesRuleImputer(t *testing.T) {
 				}
 				ref := impute.NewRuleImputer("CDD", sh.Repo, sh.Rules, step.Config().Impute).WithDomainIndexes(sh.DomIdx)
 				matched, pairs, imputed := 0, 0, 0
+				calls, verified, scans := 0, 0, 0
 				for _, r := range data.Stream {
 					if r.IsComplete() {
 						continue
@@ -77,7 +81,15 @@ func TestImputeMatchesRuleImputer(t *testing.T) {
 							applicable = append(applicable, rule)
 							return true
 						})
-						matched += sh.DRIdx.MatchingSamplesMulti(r, applicable, func(int, *tuple.Record) bool { return true }).Matched
+						stats := sh.DRIdx.MatchingSamplesMulti(r, applicable, func(int, *tuple.Record) bool { return true })
+						matched += stats.Matched
+						if len(applicable) > 0 {
+							calls++
+							verified += stats.Verified
+							if stats.Verified >= sh.Repo.Len() {
+								scans++
+							}
+						}
 						for _, rule := range sh.Rules.ForDependent(j) {
 							if !rule.AppliesTo(r) {
 								continue
@@ -96,7 +108,13 @@ func TestImputeMatchesRuleImputer(t *testing.T) {
 				if matched != pairs {
 					t.Fatalf("Σ Matched = %d, SampleMatches accepts %d (rule, sample) pairs", matched, pairs)
 				}
-				t.Logf("%d imputations, Σ Matched %d", imputed, matched)
+				if scans > 0 {
+					t.Fatalf("%d of %d calls verified all %d samples", scans, calls, sh.Repo.Len())
+				}
+				if limit := 0.15 * float64(calls*sh.Repo.Len()); float64(verified) > limit {
+					t.Fatalf("Σ Verified = %d over %d calls, above 15 %% of calls × |R| = %.0f", verified, calls, limit)
+				}
+				t.Logf("%d imputations, Σ Matched %d, %d calls verified %.1f of %d samples each", imputed, matched, calls, float64(verified)/float64(calls), sh.Repo.Len())
 			})
 		}
 	}

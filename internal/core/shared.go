@@ -136,16 +136,21 @@ func (sh *Shared) NeighbourSets() int {
 	return n
 }
 
-// AddSamples extends the repository with new complete samples, which the
-// DR-index scans from then on, and rebuilds the domain indexes, which
-// discards the neighbour sets memoised over the old domains (the dynamic
-// repository extension of Section 5.5). Rule sets and CDD-indexes are
-// refreshed by re-detection when revalidate is true (the paper's
-// delete-and-extend rule maintenance, applied as a batch).
+// AddSamples extends the repository with new complete samples and rebuilds
+// the DR-index over it and the domain indexes, which discards the neighbour
+// sets memoised over the old domains (the dynamic repository extension of
+// Section 5.5). Rule sets and CDD-indexes are refreshed by re-detection when
+// revalidate is true (the paper's delete-and-extend rule maintenance,
+// applied as a batch).
 func (sh *Shared) AddSamples(revalidate bool, detect rules.DetectConfig, samples ...*tuple.Record) error {
 	if err := sh.Repo.Add(samples...); err != nil {
 		return err
 	}
+	dr, err := drindex.Build(sh.Repo, sh.Sel, sh.Keywords)
+	if err != nil {
+		return err
+	}
+	sh.DRIdx = dr
 	d := sh.Schema.D()
 	for j := 0; j < d; j++ {
 		sh.DomIdx[j] = sh.Repo.Domain(j).BuildIndex(sh.Sel.Main(j))

@@ -103,7 +103,7 @@ func TestMatchingSamplesAgainstLinearScan(t *testing.T) {
 				}
 			}
 			got := map[string]bool{}
-			stats := ix.MatchingSamples(q, rule, func(s *tuple.Record) bool {
+			stats := ix.MatchingSamplesMulti(q, []*rules.Rule{rule}, func(_ int, s *tuple.Record) bool {
 				got[s.RID] = true
 				return true
 			})
@@ -137,7 +137,7 @@ func TestMatchingSamplesEarlyStop(t *testing.T) {
 	}
 	q := tuple.MustRecord(schema, "q", 0, 0, []string{"male", "fever cough aches", "-"})
 	n := 0
-	ix.MatchingSamples(q, rule, func(*tuple.Record) bool {
+	ix.MatchingSamplesMulti(q, []*rules.Rule{rule}, func(int, *tuple.Record) bool {
 		n++
 		return false
 	})
@@ -171,7 +171,7 @@ func TestAddRemove(t *testing.T) {
 	}
 	q := tuple.MustRecord(schema, "q", 0, 0, []string{"male", "fever cough aches", "-"})
 	found := false
-	ix.MatchingSamples(q, rule, func(s *tuple.Record) bool {
+	ix.MatchingSamplesMulti(q, []*rules.Rule{rule}, func(_ int, s *tuple.Record) bool {
 		found = found || s == extra
 		return true
 	})
@@ -215,7 +215,7 @@ func TestDeterministicMatches(t *testing.T) {
 	}
 	for run := 0; run < 2; run++ {
 		var got []string
-		ix.MatchingSamples(q, rule, func(s *tuple.Record) bool {
+		ix.MatchingSamplesMulti(q, []*rules.Rule{rule}, func(_ int, s *tuple.Record) bool {
 			got = append(got, s.RID)
 			return true
 		})

@@ -65,7 +65,7 @@ func TestMultiMatchesPerRuleQueries(t *testing.T) {
 			return true
 		})
 		for ri, rule := range applicable {
-			ix.MatchingSamples(q, rule, func(s *tuple.Record) bool {
+			ix.MatchingSamplesMulti(q, []*rules.Rule{rule}, func(_ int, s *tuple.Record) bool {
 				single = append(single, hit{ri, s.RID})
 				return true
 			})
