@@ -8,7 +8,7 @@ package pivot
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"terids/internal/repository"
 	"terids/internal/tokens"
@@ -17,7 +17,7 @@ import (
 // Config tunes the selection cost model.
 type Config struct {
 	// Buckets is P, the number of equal-length sub-intervals of the
-	// converted space [0,1] (Appendix C.1 uses P = 10).
+	// converted space [0,1] (Appendix C.1 uses P = 10). At most 256.
 	Buckets int
 	// MinEntropy is eMin, the target Shannon entropy in nats (Appendix C.1
 	// uses 1.5).
@@ -25,12 +25,10 @@ type Config struct {
 	// CntMax is the maximal number of attribute pivots per attribute
 	// (Figure 11(b) varies it in [1,5]).
 	CntMax int
-	// MaxCandidates caps the number of candidate pivot values examined per
-	// attribute (0 = all of dom(A_x)); candidates are the most frequent
-	// values. The paper scans the full domain; the cap exists for very
-	// large repositories.
-	MaxCandidates int
 }
+
+// maxBuckets bounds Config.Buckets: bucket ids are stored as bytes.
+const maxBuckets = 256
 
 // Defaults returns the paper's Appendix C.1 settings.
 func Defaults() Config {
@@ -87,6 +85,18 @@ func (s *Selection) Convert(x int, toks tokens.Set) float64 {
 	return tokens.JaccardDistance(toks, s.Main(x))
 }
 
+// bucket is the id of the equal-width bin of [0,1] that dist falls in.
+func bucket(dist float64, buckets int) int {
+	b := int(dist * float64(buckets))
+	if b >= buckets {
+		b = buckets - 1
+	}
+	if b < 0 {
+		b = 0
+	}
+	return b
+}
+
 // Entropy computes the Shannon entropy (Equation 5, natural log) of the
 // histogram of values over buckets equal-width bins of [0,1].
 func Entropy(values []float64, buckets int) float64 {
@@ -95,14 +105,7 @@ func Entropy(values []float64, buckets int) float64 {
 	}
 	hist := make([]int, buckets)
 	for _, v := range values {
-		b := int(v * float64(buckets))
-		if b >= buckets {
-			b = buckets - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		hist[b]++
+		hist[bucket(v, buckets)]++
 	}
 	h := 0.0
 	n := float64(len(values))
@@ -116,88 +119,59 @@ func Entropy(values []float64, buckets int) float64 {
 	return h
 }
 
-// jointEntropy computes the Shannon entropy of the joint bucketization:
-// each sample is assigned the tuple of its bucket ids under every pivot.
-func jointEntropy(dists [][]float64, buckets int) float64 {
-	if len(dists) == 0 || len(dists[0]) == 0 {
-		return 0
-	}
-	n := len(dists[0])
-	counts := make(map[string]int, n)
-	key := make([]byte, len(dists))
-	for i := 0; i < n; i++ {
-		for p := range dists {
-			b := int(dists[p][i] * float64(buckets))
-			if b >= buckets {
-				b = buckets - 1
-			}
-			if b < 0 {
-				b = 0
-			}
-			key[p] = byte(b)
-		}
-		counts[string(key)]++
-	}
-	h := 0.0
-	for _, c := range counts {
-		p := float64(c) / float64(n)
-		h -= p * math.Log(p)
-	}
-	return h
-}
-
 // Select chooses pivots for every attribute of the repository per the cost
-// model. It fails only on an empty repository.
+// model. It fails on an empty repository and on more than 256 buckets.
+//
+//terids:deterministic
 func Select(repo *repository.Repository, cfg Config) (*Selection, error) {
 	cfg.fill()
 	if repo.Len() == 0 {
 		return nil, fmt.Errorf("pivot: cannot select pivots from an empty repository")
 	}
+	if cfg.Buckets > maxBuckets {
+		return nil, fmt.Errorf("pivot: %d buckets, at most %d", cfg.Buckets, maxBuckets)
+	}
 	d := repo.Schema().D()
 	sel := &Selection{PerAttr: make([]AttrPivots, d)}
 	for x := 0; x < d; x++ {
-		sel.PerAttr[x] = selectAttr(repo, x, cfg)
+		sel.PerAttr[x] = selectAttr(repo.Domain(x), repo.Len(), x, cfg)
 	}
 	return sel, nil
 }
 
-func selectAttr(repo *repository.Repository, x int, cfg Config) AttrPivots {
-	dom := repo.Domain(x)
-	cands := candidateIndexes(dom, cfg.MaxCandidates)
-	samples := repo.Samples()
-
-	// Distance matrix: distTo[ci][si] = dist(sample_si[A_x], candidate ci).
-	distTo := make([][]float64, len(cands))
-	for ci, vi := range cands {
-		row := make([]float64, len(samples))
-		toks := dom.Value(vi).Toks
-		for si, s := range samples {
-			row[si] = tokens.JaccardDistance(s.Tokens(x), toks)
-		}
-		distTo[ci] = row
+// selectAttr runs the greedy of Appendix B over dom(A_x). A sample's
+// distance to a candidate depends only on the sample's value, so every
+// histogram is built over the distinct values, each counted Freq times: the
+// same integer counts as one entry per sample of R.
+func selectAttr(dom *repository.Domain, n, x int, cfg Config) AttrPivots {
+	nv, nb := dom.Len(), cfg.Buckets
+	tab := bucketTable(dom, nb)
+	freq := make([]int, nv)
+	for v := range freq {
+		freq[v] = dom.Value(v).Freq
 	}
+	h := newJointHist(n, nv, nb)
 
-	// Greedy: first pivot maximizes marginal entropy; subsequent pivots
-	// maximize joint entropy of the already-chosen set plus the candidate.
+	// Greedy: the first pivot maximises the marginal entropy, each further
+	// one the joint entropy of the chosen set plus itself. Ties go to the
+	// lowest domain index.
 	chosen := make([]int, 0, cfg.CntMax)
-	chosenDists := make([][]float64, 0, cfg.CntMax)
 	best := 0.0
 	for len(chosen) < cfg.CntMax {
-		bestCi, bestH := -1, -1.0
-		for ci := range cands {
-			if contains(chosen, ci) {
+		bestC, bestH := -1, -1.0
+		for c := 0; c < nv; c++ {
+			if slices.Contains(chosen, c) {
 				continue
 			}
-			h := jointEntropy(append(chosenDists, distTo[ci]), cfg.Buckets)
-			if h > bestH {
-				bestH, bestCi = h, ci
+			if e := h.entropy(tab[c*nv:(c+1)*nv], freq); e > bestH {
+				bestH, bestC = e, c
 			}
 		}
-		if bestCi == -1 || (len(chosen) > 0 && bestH <= best+1e-12) {
+		if bestC == -1 || (len(chosen) > 0 && bestH <= best+1e-12) {
 			break // no candidate improves the joint entropy
 		}
-		chosen = append(chosen, bestCi)
-		chosenDists = append(chosenDists, distTo[bestCi])
+		chosen = append(chosen, bestC)
+		h.refine(tab[bestC*nv : (bestC+1)*nv])
 		best = bestH
 		if best >= cfg.MinEntropy {
 			break
@@ -205,41 +179,96 @@ func selectAttr(repo *repository.Repository, x int, cfg Config) AttrPivots {
 	}
 
 	out := AttrPivots{Attr: x, Entropy: best}
-	for _, ci := range chosen {
-		v := dom.Value(cands[ci])
+	for _, c := range chosen {
+		v := dom.Value(c)
 		out.Texts = append(out.Texts, v.Text)
 		out.Toks = append(out.Toks, v.Toks)
 	}
 	return out
 }
 
-// candidateIndexes returns the domain value indexes to consider as pivots:
-// all of them, or the maxCand most frequent (ties broken by text).
-func candidateIndexes(dom *repository.Domain, maxCand int) []int {
-	idx := make([]int, dom.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	if maxCand <= 0 || dom.Len() <= maxCand {
-		return idx
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		va, vb := dom.Value(idx[a]), dom.Value(idx[b])
-		if va.Freq != vb.Freq {
-			return va.Freq > vb.Freq
+// bucketTable returns the |dom| × |dom| table of bucket ids whose entry
+// c·|dom| + v is the bucket of the distance between values c and v. Jaccard
+// is a ratio of integer counts, so it is exactly symmetric: each distance is
+// computed once and mirrored.
+func bucketTable(dom *repository.Domain, buckets int) []byte {
+	nv := dom.Len()
+	tab := make([]byte, nv*nv)
+	for c := 0; c < nv; c++ {
+		tc := dom.Value(c).Toks
+		for v := c; v < nv; v++ {
+			b := byte(bucket(tokens.JaccardDistance(dom.Value(v).Toks, tc), buckets))
+			tab[c*nv+v], tab[v*nv+c] = b, b
 		}
-		return va.Text < vb.Text
-	})
-	idx = idx[:maxCand]
-	sort.Ints(idx)
-	return idx
+	}
+	return tab
 }
 
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
+// jointHist scores candidates against the partition of the domain that the
+// pivots chosen so far induce: group[v] numbers value v's tuple of bucket
+// ids, densely, so a candidate's joint cell is group·B + bucket and all
+// cells fit in |dom|·B counters however many pivots are chosen.
+type jointHist struct {
+	n       float64
+	buckets int
+	group   []int
+	cells   []int // zero between calls
+	mult    []int // mult[k] = cells holding k samples; zero between calls
+	counts  []int // the distinct k of one call
+}
+
+func newJointHist(n, nv, buckets int) *jointHist {
+	return &jointHist{
+		n:       float64(n),
+		buckets: buckets,
+		group:   make([]int, nv),
+		cells:   make([]int, nv*buckets),
+		mult:    make([]int, n+1),
 	}
-	return false
+}
+
+// entropy returns the joint Shannon entropy of the chosen pivots plus the
+// candidate whose bucket column col is. It sums over count-of-counts in
+// ascending count, so candidates with equal cell-count multisets score
+// bit-equal entropies.
+func (h *jointHist) entropy(col []byte, freq []int) float64 {
+	for v, g := range h.group {
+		h.cells[g*h.buckets+int(col[v])] += freq[v]
+	}
+	h.counts = h.counts[:0]
+	for v, g := range h.group {
+		cell := g*h.buckets + int(col[v])
+		k := h.cells[cell]
+		if k == 0 {
+			continue // already collected
+		}
+		h.cells[cell] = 0
+		if h.mult[k] == 0 {
+			h.counts = append(h.counts, k)
+		}
+		h.mult[k]++
+	}
+	slices.Sort(h.counts)
+	e := 0.0
+	for _, k := range h.counts {
+		p := float64(k) / h.n
+		e -= float64(h.mult[k]) * (p * math.Log(p))
+		h.mult[k] = 0
+	}
+	return e
+}
+
+// refine splits the groups by the buckets of a newly chosen pivot and
+// renumbers them densely in first-seen order.
+func (h *jointHist) refine(col []byte) {
+	next := 0
+	for v, g := range h.group {
+		cell := g*h.buckets + int(col[v])
+		if h.cells[cell] == 0 {
+			next++
+			h.cells[cell] = next
+		}
+		h.group[v] = h.cells[cell] - 1
+	}
+	clear(h.cells)
 }

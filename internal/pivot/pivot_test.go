@@ -150,19 +150,13 @@ func TestSelectEmptyRepo(t *testing.T) {
 	}
 }
 
-func TestSelectMaxCandidates(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	var values [][2]string
-	for i := 0; i < 50; i++ {
-		values = append(values, [2]string{fmt.Sprintf("v%d t%d", i, r.Intn(5)), "k"})
+func TestSelectRejectsTooManyBuckets(t *testing.T) {
+	repo := buildRepo(t, [][2]string{{"a b", "x"}, {"c d", "x"}})
+	if _, err := Select(repo, Config{Buckets: maxBuckets + 1}); err == nil {
+		t.Fatal("bucket ids are bytes: more than 256 buckets must fail")
 	}
-	repo := buildRepo(t, values)
-	sel, err := Select(repo, Config{Buckets: 10, MinEntropy: 1.5, CntMax: 2, MaxCandidates: 5})
-	if err != nil {
+	if _, err := Select(repo, Config{Buckets: maxBuckets}); err != nil {
 		t.Fatal(err)
-	}
-	if sel.PerAttr[0].NumPivots() < 1 {
-		t.Fatal("must still select a pivot with capped candidates")
 	}
 }
 

@@ -483,7 +483,7 @@ func oracleExact(as, bs []oracleInstance, gamma float64, topicFirst bool) float6
 // each with its own pivots, and candidates over a vocabulary small enough
 // that similarities tie and keywords come and go.
 type eq2Case struct {
-	r      *rand.Rand
+	r      eq2Source
 	schema *tuple.Schema
 	sel    *pivot.Selection
 	kw     tokens.Set
@@ -491,7 +491,42 @@ type eq2Case struct {
 
 var eq2Vocab = []string{"a", "b", "c", "d", "e", "k0", "k1"}
 
-func newEq2Case(r *rand.Rand, d int) *eq2Case {
+// eq2Source is what the generator draws from: a seeded *rand.Rand in
+// TestRefineMatchesInstanceEnumeration, the fuzzer's bytes in FuzzRefine.
+type eq2Source interface {
+	Intn(n int) int
+	Float64() float64
+	Perm(n int) []int
+}
+
+// fuzzSource draws from the fuzzer's bytes, then zeros. Its probabilities
+// are positive, as imputed ones are.
+type fuzzSource []byte
+
+func (b *fuzzSource) Intn(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0])
+	*b = (*b)[1:]
+	return v % n
+}
+
+func (b *fuzzSource) Float64() float64 { return float64(1+b.Intn(256)) / 256 }
+
+func (b *fuzzSource) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := b.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+func newEq2Case(r eq2Source, d int) *eq2Case {
 	c := &eq2Case{r: r, kw: tokens.New("k0", "k1"), sel: &pivot.Selection{}}
 	attrs := make([]string, d)
 	for x := range attrs {
@@ -540,43 +575,57 @@ func (c *eq2Case) imputed(rid string, maxInst int) *tuple.Imputed {
 	return im
 }
 
-// TestRefineMatchesInstanceEnumeration is the differential test of Equation
-// 2 over candidate tables against the materialised-instance enumeration it
-// replaced: Refine's every field, and both exact orders, bit for bit. γ is a
-// similarity some instance pair attains, so the strict > is exercised.
+// checkEq2Case is the differential test of Equation 2 over candidate tables
+// against the materialised-instance enumeration it replaced, on one profile
+// pair drawn from r: Refine's every field, and both exact orders, bit for
+// bit. γ is a similarity some instance pair attains, so the strict > is
+// exercised.
+func checkEq2Case(t *testing.T, r eq2Source, trial int) {
+	t.Helper()
+	c := newEq2Case(r, 1+r.Intn(4))
+	ima, imb := c.imputed("a", 36), c.imputed("b", 36)
+	pa, pb := BuildProfile(ima, c.sel, c.kw), BuildProfile(imb, c.sel, c.kw)
+	oa, ob := oracleInstances(ima, c.kw), oracleInstances(imb, c.kw)
+	if len(pa.inst) != len(oa) || len(pb.inst) != len(ob) {
+		t.Fatalf("trial %d: %d/%d instances, enumeration has %d/%d", trial, len(pa.inst), len(pb.inst), len(oa), len(ob))
+	}
+	for i, o := range oa {
+		if pa.inst[i] != (instance{p: o.p, kw: o.kw}) {
+			t.Fatalf("trial %d: instance %d = %+v, enumeration %+v", trial, i, pa.inst[i], o)
+		}
+	}
+	gamma := oracleSim(oa[r.Intn(len(oa))], ob[r.Intn(len(ob))])
+	for _, alpha := range []float64{0, 0.3, 0.5, 0.99} {
+		if got, want := Refine(pa, pb, gamma, alpha), oracleRefine(oa, ob, gamma, alpha); got != want {
+			t.Fatalf("trial %d (d=%d, γ=%v, α=%v): Refine = %+v, enumeration %+v", trial, len(ima.Dists), gamma, alpha, got, want)
+		}
+	}
+	if got, want := ExactProbability(pa, pb, gamma), oracleExact(oa, ob, gamma, true); got != want {
+		t.Fatalf("trial %d: ExactProbability = %v, enumeration %v", trial, got, want)
+	}
+	if got, want := ExactProbabilityFullER(pa, pb, gamma), oracleExact(oa, ob, gamma, false); got != want {
+		t.Fatalf("trial %d: ExactProbabilityFullER = %v, enumeration %v", trial, got, want)
+	}
+}
+
+// TestRefineMatchesInstanceEnumeration replays 5 000 seeded FuzzRefine
+// cases.
 func TestRefineMatchesInstanceEnumeration(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
-	pairs := 0
 	for trial := 0; trial < 5000; trial++ {
-		c := newEq2Case(r, 1+r.Intn(4))
-		ima, imb := c.imputed("a", 36), c.imputed("b", 36)
-		pa, pb := BuildProfile(ima, c.sel, c.kw), BuildProfile(imb, c.sel, c.kw)
-		oa, ob := oracleInstances(ima, c.kw), oracleInstances(imb, c.kw)
-		if len(pa.inst) != len(oa) || len(pb.inst) != len(ob) {
-			t.Fatalf("trial %d: %d/%d instances, enumeration has %d/%d", trial, len(pa.inst), len(pb.inst), len(oa), len(ob))
-		}
-		for i, o := range oa {
-			if pa.inst[i] != (instance{p: o.p, kw: o.kw}) {
-				t.Fatalf("trial %d: instance %d = %+v, enumeration %+v", trial, i, pa.inst[i], o)
-			}
-		}
-		gamma := oracleSim(oa[r.Intn(len(oa))], ob[r.Intn(len(ob))])
-		for _, alpha := range []float64{0, 0.3, 0.5, 0.99} {
-			if got, want := Refine(pa, pb, gamma, alpha), oracleRefine(oa, ob, gamma, alpha); got != want {
-				t.Fatalf("trial %d (d=%d, γ=%v, α=%v): Refine = %+v, enumeration %+v", trial, len(ima.Dists), gamma, alpha, got, want)
-			}
-		}
-		if got, want := ExactProbability(pa, pb, gamma), oracleExact(oa, ob, gamma, true); got != want {
-			t.Fatalf("trial %d: ExactProbability = %v, enumeration %v", trial, got, want)
-		}
-		if got, want := ExactProbabilityFullER(pa, pb, gamma), oracleExact(oa, ob, gamma, false); got != want {
-			t.Fatalf("trial %d: ExactProbabilityFullER = %v, enumeration %v", trial, got, want)
-		}
-		pairs++
+		checkEq2Case(t, r, trial)
 	}
-	if pairs < 5000 {
-		t.Fatalf("only %d profile pairs compared", pairs)
-	}
+}
+
+// FuzzRefine: Refine and Equation 2 over candidate tables agree with the
+// instance enumeration on profile pairs decoded from the fuzzer's bytes.
+func FuzzRefine(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x03\x01\x05\x02\x03\x00\x04\x05\x06\x02\x01\x03\x05\x00\x04\x80\x05\x01\x02\x06\x03\x40\x02\x05\x00\x01\xc0\x03\x02\x04\x06\x05\x01"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := fuzzSource(data)
+		checkEq2Case(t, &src, 0)
+	})
 }
 
 // TestRefineAllocatesNothing covers single-instance pairs and the largest

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"terids/internal/repository"
@@ -96,6 +97,8 @@ func (c *DetectConfig) fill() {
 }
 
 // Detect mines DD, CDD, and editing rules from the repository.
+//
+//terids:deterministic
 func Detect(repo *repository.Repository, cfg DetectConfig) *Set {
 	cfg.fill()
 	d := repo.Schema().D()
@@ -104,8 +107,13 @@ func Detect(repo *repository.Repository, cfg DetectConfig) *Set {
 	if len(samples) < 2 {
 		return set
 	}
+	//lint:ignore nodeterm seeded source: one Seed always draws the same pairs
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pairs := samplePairs(len(samples), cfg.PairSample, rng)
+	t := newPairTable(samples, samplePairs(len(samples), cfg.PairSample, rng), cfg.Bands)
+	consts := make([]constants, d)
+	for c := range consts {
+		consts[c] = frequentConstants(repo.Domain(c), samples, c, cfg.MaxConstants)
+	}
 
 	for j := 0; j < d; j++ {
 		for x := 0; x < d; x++ {
@@ -113,7 +121,7 @@ func Detect(repo *repository.Repository, cfg DetectConfig) *Set {
 				continue
 			}
 			if !cfg.DisableDD {
-				mineDD(set, samples, pairs, x, j, cfg)
+				mineDD(set, t, x, j, cfg)
 			}
 			if !cfg.DisableCDD {
 				// Condition on each remaining attribute's frequent
@@ -122,11 +130,11 @@ func Detect(repo *repository.Repository, cfg DetectConfig) *Set {
 					if c == j || c == x {
 						continue
 					}
-					mineCDD(set, repo, samples, pairs, c, x, j, cfg)
+					mineCDD(set, t, consts[c], c, x, j, cfg)
 				}
 			}
 			if !cfg.DisableEditing {
-				mineEditing(set, repo, samples, x, j, cfg)
+				mineEditing(set, samples, consts[x], x, j, cfg)
 			}
 			// Two-determinant rules use banded intervals only; the
 			// cumulative (classic DD) mode mines single determinants.
@@ -135,12 +143,37 @@ func Detect(repo *repository.Repository, cfg DetectConfig) *Set {
 					if x2 == j {
 						continue
 					}
-					mineDD2(set, samples, pairs, x, x2, j, cfg)
+					mineDD2(set, t, x, x2, j, cfg)
 				}
 			}
 		}
 	}
 	return set
+}
+
+// pairTable holds the sampled pairs and every attribute distance of each:
+// dist[p·d + x] is the Jaccard distance of pair p on attribute x, and
+// band[p·d + x] its index in the single-determinant bands. The miners read
+// it instead of recomputing a distance per rule family and attribute
+// combination.
+type pairTable struct {
+	pairs [][2]int
+	d     int
+	dist  []float64
+	band  []int32
+}
+
+func newPairTable(samples []*tuple.Record, pairs [][2]int, bands []float64) *pairTable {
+	d := samples[0].D()
+	t := &pairTable{pairs: pairs, d: d, dist: make([]float64, len(pairs)*d), band: make([]int32, len(pairs)*d)}
+	for p, pr := range pairs {
+		a, b := samples[pr[0]], samples[pr[1]]
+		for x := 0; x < d; x++ {
+			dist := tokens.JaccardDistance(a.Tokens(x), b.Tokens(x))
+			t.dist[p*d+x], t.band[p*d+x] = dist, int32(band(dist, bands))
+		}
+	}
+	return t
 }
 
 // samplePairs draws up to limit distinct unordered index pairs (all pairs
@@ -159,6 +192,7 @@ func samplePairs(n, limit int, rng *rand.Rand) [][2]int {
 	seen := make(map[[2]int]bool, limit)
 	out := make([][2]int, 0, limit)
 	for len(out) < limit {
+		//lint:ignore nodeterm seeded source: one Seed always draws the same pairs
 		i, k := rng.Intn(n), rng.Intn(n)
 		if i == k {
 			continue
@@ -216,18 +250,17 @@ func (s *depStats) add(d float64) {
 
 // mineDD emits banded DD rules A_x → A_j: for each distance band on A_x,
 // the observed dependent-distance interval, if supported and tight enough.
-func mineDD(set *Set, samples []*tuple.Record, pairs [][2]int, x, j int, cfg DetectConfig) {
+func mineDD(set *Set, t *pairTable, x, j int, cfg DetectConfig) {
 	stats := make([]depStats, len(cfg.Bands))
 	for i := range stats {
 		stats[i] = newDepStats()
 	}
-	for _, p := range pairs {
-		a, b := samples[p[0]], samples[p[1]]
-		bx := band(tokens.JaccardDistance(a.Tokens(x), b.Tokens(x)), cfg.Bands)
+	for p := range t.pairs {
+		bx := t.band[p*t.d+x]
 		if bx < 0 {
 			continue
 		}
-		stats[bx].add(tokens.JaccardDistance(a.Tokens(j), b.Tokens(j)))
+		stats[bx].add(t.dist[p*t.d+j])
 	}
 	if cfg.Cumulative {
 		// Classic DDs: fold bands into prefix intervals [0, ε_i].
@@ -269,24 +302,24 @@ func mineDD(set *Set, samples []*tuple.Record, pairs [][2]int, x, j int, cfg Det
 // A_x2, the observed dependent interval, if supported and tight enough.
 // Combining determinants tightens dependent intervals and multiplies the
 // rule count — the multiplicity that motivates the CDD-index.
-func mineDD2(set *Set, samples []*tuple.Record, pairs [][2]int, x1, x2, j int, cfg DetectConfig) {
+func mineDD2(set *Set, t *pairTable, x1, x2, j int, cfg DetectConfig) {
 	bands := cfg.TwoDetBands
 	n := len(bands)
 	stats := make([]depStats, n*n)
 	for i := range stats {
 		stats[i] = newDepStats()
 	}
-	for _, p := range pairs {
-		a, b := samples[p[0]], samples[p[1]]
-		b1 := band(tokens.JaccardDistance(a.Tokens(x1), b.Tokens(x1)), bands)
+	for p := range t.pairs {
+		row := t.dist[p*t.d : (p+1)*t.d]
+		b1 := band(row[x1], bands)
 		if b1 < 0 {
 			continue
 		}
-		b2 := band(tokens.JaccardDistance(a.Tokens(x2), b.Tokens(x2)), bands)
+		b2 := band(row[x2], bands)
 		if b2 < 0 {
 			continue
 		}
-		stats[b1*n+b2].add(tokens.JaccardDistance(a.Tokens(j), b.Tokens(j)))
+		stats[b1*n+b2].add(row[j])
 	}
 	for b1 := 0; b1 < n; b1++ {
 		for b2 := 0; b2 < n; b2++ {
@@ -312,57 +345,34 @@ func mineDD2(set *Set, samples []*tuple.Record, pairs [][2]int, x1, x2, j int, c
 
 // mineCDD conditions the A_x → A_j bands on frequent constants of A_c,
 // emitting rules (A_c, A_x → A_j, {v, [lo,hi], depI}) — the exact form of
-// Example 2 / Definition 3.
-func mineCDD(set *Set, repo *repository.Repository, samples []*tuple.Record, pairs [][2]int, c, x, j int, cfg DetectConfig) {
-	constants := frequentConstants(repo.Domain(c), cfg.MaxConstants)
-	if len(constants) == 0 {
+// Example 2 / Definition 3 — in (constant, band) order.
+func mineCDD(set *Set, t *pairTable, cons constants, c, x, j int, cfg DetectConfig) {
+	if len(cons.texts) == 0 {
 		return
 	}
-	type key struct {
-		constant int
-		band     int
+	nb := len(cfg.Bands)
+	stats := make([]depStats, len(cons.texts)*nb)
+	for i := range stats {
+		stats[i] = newDepStats()
 	}
-	stats := make(map[key]*depStats)
-	for _, p := range pairs {
-		a, b := samples[p[0]], samples[p[1]]
-		if a.Value(c) != b.Value(c) {
+	for p, pr := range t.pairs {
+		// Both samples carry the same frequent constant of A_c.
+		ci := cons.of[pr[0]]
+		if ci < 0 || ci != cons.of[pr[1]] {
 			continue
 		}
-		ci := indexOf(constants, a.Value(c))
-		if ci < 0 {
-			continue
-		}
-		bx := band(tokens.JaccardDistance(a.Tokens(x), b.Tokens(x)), cfg.Bands)
+		bx := int(t.band[p*t.d+x])
 		if bx < 0 {
 			continue
 		}
-		k := key{ci, bx}
-		st, ok := stats[k]
-		if !ok {
-			v := newDepStats()
-			st = &v
-			stats[k] = st
-		}
-		st.add(tokens.JaccardDistance(a.Tokens(j), b.Tokens(j)))
+		stats[ci*nb+bx].add(t.dist[p*t.d+j])
 	}
-	// Deterministic emission order.
-	keys := make([]key, 0, len(stats))
-	for k := range stats {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].constant != keys[b].constant {
-			return keys[a].constant < keys[b].constant
-		}
-		return keys[a].band < keys[b].band
-	})
-	for _, k := range keys {
-		st := stats[k]
+	for k, st := range stats {
 		if st.n < cfg.MinSupport || st.hi-st.lo > cfg.MaxDepWidth {
 			continue
 		}
-		lo, hi := bandBounds(k.band, cfg.Bands)
-		text := constants[k.constant]
+		lo, hi := bandBounds(k%nb, cfg.Bands)
+		text := cons.texts[k/nb]
 		set.MustAdd(&Rule{
 			Kind:      KindCDD,
 			Dependent: j,
@@ -378,13 +388,12 @@ func mineCDD(set *Set, repo *repository.Repository, samples []*tuple.Record, pai
 
 // mineEditing emits editing rules: a constant determinant value that pins
 // the dependent value to (near-)equality across its carriers.
-func mineEditing(set *Set, repo *repository.Repository, samples []*tuple.Record, x, j int, cfg DetectConfig) {
-	constants := frequentConstants(repo.Domain(x), cfg.MaxConstants)
-	for _, v := range constants {
+func mineEditing(set *Set, samples []*tuple.Record, cons constants, x, j int, cfg DetectConfig) {
+	for ci, v := range cons.texts {
 		// Gather dependent values among carriers of v.
 		var depToks []tokens.Set
-		for _, s := range samples {
-			if s.Value(x) == v {
+		for i, s := range samples {
+			if cons.of[i] == ci {
 				depToks = append(depToks, s.Tokens(j))
 			}
 		}
@@ -413,9 +422,17 @@ func mineEditing(set *Set, repo *repository.Repository, samples []*tuple.Record,
 	}
 }
 
-// frequentConstants returns up to max domain values with frequency >= 2,
-// most frequent first (ties by text).
-func frequentConstants(dom *repository.Domain, max int) []string {
+// constants are the frequent values of one attribute, the conditioning
+// constants of CDDs and the determinants of editing rules.
+type constants struct {
+	texts []string
+	// of[i] is the index in texts of sample i's value, -1 if not frequent.
+	of []int
+}
+
+// frequentConstants returns up to max values of attribute x with frequency
+// >= 2, most frequent first (ties by text).
+func frequentConstants(dom *repository.Domain, samples []*tuple.Record, x, max int) constants {
 	type fv struct {
 		text string
 		freq int
@@ -436,18 +453,12 @@ func frequentConstants(dom *repository.Domain, max int) []string {
 	if len(all) > max {
 		all = all[:max]
 	}
-	out := make([]string, len(all))
+	cons := constants{texts: make([]string, len(all)), of: make([]int, len(samples))}
 	for i, v := range all {
-		out[i] = v.text
+		cons.texts[i] = v.text
 	}
-	return out
-}
-
-func indexOf(list []string, v string) int {
-	for i, s := range list {
-		if s == v {
-			return i
-		}
+	for i, s := range samples {
+		cons.of[i] = slices.Index(cons.texts, s.Value(x))
 	}
-	return -1
+	return cons
 }
