@@ -52,23 +52,18 @@ func TestFollowerHTTPModeAndPromotion(t *testing.T) {
 	srv.streams = f.cfg.Streams
 	fol, err := engine.OpenFollower(f.sh,
 		engine.Config{Core: f.cfg, Shards: 2, OnResult: srv.onResult},
-		engine.FollowerConfig{Dir: dir, Poll: 2 * time.Millisecond,
-			Durable: engine.DurableConfig{NoSync: true}})
+		engine.DurableConfig{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.eng = fol.Eng
-	srv.fol = fol
-	srv.mode.Store(modeFollowing)
+	srv.dur = fol
 	srv.ready.Store(true)
 	ts := httptest.NewServer(srv.routes())
 	defer func() {
 		close(srv.done)
 		ts.Close()
-		if d := srv.durable(); d != nil {
-			_ = d.Close(false)
-		}
-		_ = fol.Close()
+		_ = fol.Close(false)
 	}()
 
 	for _, r := range f.stream[:cut] {
@@ -175,7 +170,7 @@ func TestFollowerHTTPModeAndPromotion(t *testing.T) {
 	waitFor(t, "promoted pipeline drain", func() bool {
 		return fol.Eng.Completed() == int64(n)
 	})
-	if got := srv.durable().Log.Stats().NextSeq; got != int64(n) {
+	if got := srv.dur.Log.Stats().NextSeq; got != int64(n) {
 		t.Fatalf("wal frontier %d after promoted ingest, want %d", got, n)
 	}
 }
@@ -253,5 +248,70 @@ func TestEventsCursorEvicted(t *testing.T) {
 	}
 	if code, got := lines(ts.URL + "/events?from=99"); code != http.StatusOK || got != 0 {
 		t.Fatalf("future cursor: status %d with %d events, want 200 with 0", code, got)
+	}
+}
+
+// TestFollowerDeepReplayBelowRing: a follower that boots from a checkpoint
+// at seq S > 0 bases its replay ring at S, so /results?from=0 must fall
+// through to deep replay on the follower, as it does on the writer, and
+// return the writer's lines byte for byte.
+func TestFollowerDeepReplayBelowRing(t *testing.T) {
+	f := loadServeFixture(t)
+	n := len(f.stream)
+	half := n / 2
+	dir := t.TempDir()
+
+	wsrv, w, wts := startDurableServer(t, f, 2, 4096, dir, engine.DurableConfig{})
+	defer func() {
+		close(wsrv.done)
+		wts.Close()
+		_ = w.Close(false)
+	}()
+	ingest(t, wts, f.stream[:half])
+	if _, err := w.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, wts, f.stream[half:])
+
+	path, ckpt, err := engine.LatestCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt == nil || ckpt.Seq != int64(half) {
+		t.Fatalf("newest checkpoint %v, want one at seq %d", ckpt, half)
+	}
+	srv := newServer(f.sh, 4096, ckpt.Seq, "")
+	srv.streams = f.cfg.Streams
+	fol, err := engine.OpenFollower(f.sh,
+		engine.Config{Core: f.cfg, Shards: 2, OnResult: srv.onResult},
+		engine.DurableConfig{Dir: dir, Checkpoint: ckpt, CheckpointPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.eng, srv.dur = fol.Eng, fol
+	srv.ready.Store(true)
+	fts := httptest.NewServer(srv.routes())
+	defer func() {
+		close(srv.done)
+		fts.Close()
+		_ = fol.Close(false)
+	}()
+	waitFor(t, "follower caught up", func() bool {
+		return fol.Eng.Completed() == int64(n) && fol.Lag() == 0
+	})
+
+	want := readRawResults(t, wts, "?from=0", n)
+	got := readRawResults(t, fts, "?from=0", n)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("line %d: follower %s, writer %s", i, got[i], want[i])
+		}
+	}
+	replay, _ := getStats(t, fts)["replay"].(map[string]any)
+	if reach, _ := replay["oldest_retained"].(float64); reach != 0 {
+		t.Fatalf("follower replay.oldest_retained = %v, want 0", replay["oldest_retained"])
+	}
+	if deep, _ := replay["deep_replays"].(float64); deep < 1 {
+		t.Fatalf("follower replay.deep_replays = %v, want >= 1", replay["deep_replays"])
 	}
 }

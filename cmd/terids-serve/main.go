@@ -19,8 +19,9 @@
 //	                ?from=seq replays the merged results with sequence >= seq
 //	                before going live — from the in-memory ring when
 //	                retained, regenerated byte-identically from checkpoint +
-//	                WAL (deep replay; -wal-dir) when the cursor fell behind
-//	                it (410 Gone only below the retained durable coverage).
+//	                WAL (deep replay; -wal-dir or -follow) when the cursor
+//	                fell behind it (410 Gone only below the retained durable
+//	                coverage).
 //	POST /snapshot  barrier checkpoint of the full engine state; ?path=
 //	                writes it server-side under -checkpoint-dir (disabled
 //	                unless that flag is set), otherwise the binary
@@ -49,7 +50,7 @@
 //	                ok/warn/breach state (requires -slo or -slo-file).
 //	POST /debug/dump  write a flight-recorder bundle now and return its path
 //	                (requires -flight-dir).
-//	POST /promote   turn a follower replica (-follow) into the writer: seal
+//	POST /promote   flip a follower replica (-follow) to the writer: seal
 //	                at the WAL frontier, replay the un-tailed remainder,
 //	                attach the log, reopen /ingest and /rebalance. 409 while
 //	                the old writer still holds the liveness lock.
@@ -98,17 +99,21 @@
 // online (checkpoints carry K, so -shards 0 recovery resumes at it).
 //
 // Read-path scale-out: -follow <dir> boots the process as a read-only
-// follower replica over another terids-serve's -wal-dir. It restores the
+// follower replica over another terids-serve's -wal-dir. Writer and
+// follower hold the same kind of handle on the directory, one
+// engine.Durable; the follower's is in following mode. It restores the
 // newest checkpoint there, then continuously tails the writer's WAL, so its
-// /results (including deep replays), /stats, /metrics, /slo, and /events
-// are byte-identical to the writer's, one poll interval behind
-// (terids_follower_lag gauges the gap). /ingest and /rebalance answer 503
-// on a follower. When the writer's checkpointer truncates the WAL below the
+// /results, /stats, /metrics, /slo, and /events are byte-identical to the
+// writer's, one poll interval behind (terids_follower_lag gauges the gap).
+// That covers /results?from= cursors below its ring too: deep replay reads
+// the WAL through the tailer. /ingest and /rebalance answer 503 on a
+// follower. When the writer's checkpointer truncates the WAL below the
 // follower's cursor, the follower applies the delta-checkpoint chain onto
 // its live engine instead of rebuilding. POST /promote (or
 // -promote-on-writer-loss after the writer's flock has been free that long)
-// performs warm-standby takeover: seal at the WAL frontier, replay the
-// remainder, attach the log, resume ingest as the writer.
+// performs warm-standby takeover as a mode flip on the same handle: seal at
+// the WAL frontier, replay the remainder, attach the log, resume ingest as
+// the writer.
 //
 // Usage:
 //
@@ -264,6 +269,12 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// root is the durability directory: written with -wal-dir, tailed with
+	// -follow (the flags are exclusive).
+	root := *walDir
+	if root == "" {
+		root = *follow
+	}
 	var ckpt *snapshot.Checkpoint
 	ckptPath := ""
 	if *restore != "" {
@@ -272,15 +283,12 @@ func main() {
 			log.Fatal(err)
 		}
 		ckptPath = *restore
-	} else if *walDir != "" || *follow != "" {
+	} else if root != "" {
 		// Auto-recovery: the newest snapshot under the durability root seeds
 		// both the engine and the replay ring's base; the WAL suffix past its
 		// watermark is replayed below, before the listener starts. A follower
-		// boots from the tailed writer's root the same way.
-		root := *walDir
-		if root == "" {
-			root = *follow
-		}
+		// boots from the tailed writer's root the same way, and tails the WAL
+		// past the watermark.
 		ckptPath, ckpt, err = engine.LatestCheckpoint(root)
 		if err != nil {
 			log.Fatal(err)
@@ -394,38 +402,33 @@ func main() {
 		OnResult:    srv.onResult,
 		TraceSample: *traceEvery,
 	}
+	// One durability handle carries the directory from boot to Close: a
+	// follower's flips to writing on promotion (the -checkpoint-* flags arm
+	// its checkpointer then).
+	dcfg := engine.DurableConfig{
+		Dir: root, CheckpointInterval: *ckptEvery, KeepCheckpoints: *ckptKeep,
+		DeltaEvery: *ckptDelta,
+		Checkpoint: ckpt, CheckpointPath: ckptPath, Logf: log.Printf,
+	}
 	var eng *engine.Engine
 	var dur *engine.Durable
-	var fol *engine.Follower
 	switch {
 	case *follow != "":
 		srv.readyReason.Store("catching up")
-		fol, err = engine.OpenFollower(sh, engCfg, engine.FollowerConfig{
-			Dir: *follow, Logf: log.Printf,
-			Durable: engine.DurableConfig{
-				CheckpointInterval: *ckptEvery, KeepCheckpoints: *ckptKeep,
-				DeltaEvery: *ckptDelta, Logf: log.Printf,
-			},
-		})
+		dur, err = engine.OpenFollower(sh, engCfg, dcfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng = fol.Eng
-		srv.fol = fol
-		srv.mode.Store(modeFollowing)
+		eng = dur.Eng
 		obs.Default().GaugeFunc("terids_follower_lag",
 			"Durable writer arrivals the follower's merged output still trails by.", nil,
-			func() float64 { return float64(fol.Lag()) })
+			func() float64 { return float64(dur.Lag()) })
 		log.Printf("follower: tailing %s from seq %d (writer alive: %v)",
-			*follow, fol.Stats().AppliedSeq, fol.WriterAlive())
+			*follow, dur.ResumeSeq(), dur.WriterAlive())
 	case *walDir != "":
 		srv.readyReason.Store("recovering")
 		recoverStart := time.Now()
-		dur, err = engine.OpenDurable(sh, engCfg, engine.DurableConfig{
-			Dir: *walDir, CheckpointInterval: *ckptEvery, KeepCheckpoints: *ckptKeep,
-			DeltaEvery: *ckptDelta,
-			Checkpoint: ckpt, CheckpointPath: ckptPath, Logf: log.Printf,
-		})
+		dur, err = engine.OpenDurable(sh, engCfg, dcfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -443,8 +446,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv.eng = eng
-	srv.dur.Store(dur)
+	srv.promoteMu.Lock()
+	srv.eng, srv.dur = eng, dur
+	srv.promoteMu.Unlock()
 	obs.Default().Gauge("terids_build_info",
 		"Build and topology identity; the value is always 1.",
 		obs.Labels{
@@ -453,7 +457,7 @@ func main() {
 			"shards":     strconv.Itoa(eng.Stats().Shards),
 		}).Set(1)
 
-	if fol == nil {
+	if dur == nil || !dur.Following() {
 		// Recovery replay (if any) is done and the engine is attached: ready.
 		srv.readyReason.Store("")
 		srv.ready.Store(true)
@@ -479,20 +483,20 @@ func main() {
 				if srv.ready.Load() {
 					return // promoted before catching up; promote() flipped it
 				}
-				if fol.CaughtUp() {
+				if dur.CaughtUp() {
 					srv.readyReason.Store("")
 					srv.ready.Store(true)
 					jr.Record("serving", "follower caught up to the writer frontier", map[string]any{
-						"addr": ln.Addr().String(), "applied_seq": fol.Stats().AppliedSeq,
+						"addr": ln.Addr().String(), "applied_seq": eng.Completed(),
 					})
 					log.Printf("follower caught up at seq %d; serving reads on %s",
-						fol.Stats().AppliedSeq, ln.Addr())
+						eng.Completed(), ln.Addr())
 					return
 				}
 			}
 		}()
 		if *promoteLoss > 0 {
-			go autoPromote(srv, fol, *promoteLoss)
+			go autoPromote(srv, *promoteLoss)
 		}
 	}
 
@@ -513,17 +517,12 @@ func main() {
 		_ = debugSrv.Shutdown(ctx)
 	}
 	// Close drains every accepted arrival through the pipeline, so the exit
-	// checkpoint below captures a consistent final state. With a WAL this
-	// also writes one last snapshot, making the next boot replay-free. A
-	// promoted follower shuts down through the durable handle promotion
-	// installed; an unpromoted one just stops tailing and drains.
-	if d := srv.durable(); d != nil {
-		if err := d.Close(true); err != nil {
+	// checkpoint below captures a consistent final state. A writing handle
+	// also writes one last snapshot, making the next boot replay-free; a
+	// follower that was never promoted just stops tailing and drains.
+	if dur != nil {
+		if err := dur.Close(true); err != nil {
 			log.Fatalf("durable shutdown: %v", err)
-		}
-	} else if fol != nil {
-		if err := fol.Close(); err != nil {
-			log.Fatalf("follower shutdown: %v", err)
 		}
 	} else if err := eng.Close(); err != nil {
 		log.Fatalf("engine: %v", err)
@@ -546,7 +545,7 @@ func main() {
 // automatic counterpart of POST /promote. A failed attempt (the writer came
 // back and re-took the lock, or the takeover itself errored) restarts the
 // grace clock and the replica keeps following.
-func autoPromote(srv *server, fol *engine.Follower, grace time.Duration) {
+func autoPromote(srv *server, grace time.Duration) {
 	tick := time.NewTicker(250 * time.Millisecond)
 	defer tick.Stop()
 	var downSince time.Time
@@ -556,10 +555,10 @@ func autoPromote(srv *server, fol *engine.Follower, grace time.Duration) {
 			return
 		case <-tick.C:
 		}
-		if srv.mode.Load() != modeFollowing {
+		if !srv.dur.Following() {
 			return
 		}
-		if fol.WriterAlive() {
+		if srv.dur.WriterAlive() {
 			downSince = time.Time{}
 			continue
 		}
@@ -571,8 +570,8 @@ func autoPromote(srv *server, fol *engine.Follower, grace time.Duration) {
 		}
 		srv.promoteMu.Lock()
 		var err error
-		if srv.mode.Load() == modeFollowing {
-			_, err = srv.promote("writer-loss")
+		if srv.dur.Following() {
+			err = srv.promote("writer-loss")
 		}
 		srv.promoteMu.Unlock()
 		if err != nil {
@@ -581,7 +580,7 @@ func autoPromote(srv *server, fol *engine.Follower, grace time.Duration) {
 			continue
 		}
 		log.Printf("writer lock free for %s: promoted to writer at seq %d",
-			grace, fol.Stats().AppliedSeq)
+			grace, srv.dur.ResumeSeq())
 		return
 	}
 }

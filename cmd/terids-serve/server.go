@@ -27,14 +27,6 @@ import (
 // the server's single replay slot (see server.deepSem).
 const deepReplayWriteTimeout = 30 * time.Second
 
-// Serving roles. A process starts as a writer (standalone or -wal-dir) or
-// a follower (-follow); promotion is the only transition.
-const (
-	modeWriter    int32 = iota // owns ingest; the default role
-	modeFollowing              // read-only replica tailing a writer's WAL
-	modePromoted               // replica that has taken over as the writer
-)
-
 // server wires the engine into HTTP handlers, a live result broadcaster,
 // and the bounded replay ring behind /results?from=.
 type server struct {
@@ -56,20 +48,15 @@ type server struct {
 	// stream id, so on this unauthenticated endpoint ids must be validated
 	// BEFORE the limiter — otherwise random ids grow its map without bound.
 	streams int
-	// dur, when non-nil, is the durability subsystem handle (-wal-dir). Its
-	// health shows up in /stats, and /results?from= cursors below the ring
-	// are served by WAL-backed deep replay instead of a 410. Atomic because
-	// a follower's promotion installs it while the listener is serving.
-	dur atomic.Pointer[engine.Durable]
-	// fol is the follower replica handle (-follow). Handlers only read it
-	// after observing mode != modeWriter: main stores s.fol before
-	// mode.Store(modeFollowing), so that atomic pair is the happens-before
-	// edge (same pattern as s.eng behind ready).
-	fol *engine.Follower
-	// mode is the serving role; promotion moves it following → promoted.
-	mode atomic.Int32
+	// dur, when non-nil, is the durability handle: a writer's (-wal-dir), or
+	// a follower's (-follow) until promotion flips it to writing. It carries
+	// the role, its health shows up in /stats, and /results?from= cursors
+	// below the ring are served by WAL-backed deep replay on either role
+	// instead of a 410. Set with s.eng, before ready.
+	dur *engine.Durable
 	// promoteMu serializes promotion attempts (manual POST /promote racing
-	// the writer-loss auto-promoter).
+	// the writer-loss auto-promoter). /promote is not readiness-gated, so
+	// main also sets s.eng and s.dur under it.
 	promoteMu sync.Mutex
 	// replayDepth bounds how many arrivals one deep replay may re-run
 	// (-replay-depth; 0 = unlimited).
@@ -145,10 +132,6 @@ func newServer(sh *core.Shared, ringCap int, ringBase int64, ckptDir string) *se
 	return s
 }
 
-// durable returns the durability subsystem handle: nil without -wal-dir,
-// installed at boot for a writer, at promotion for a follower.
-func (s *server) durable() *engine.Durable { return s.dur.Load() }
-
 // notReadyReason is the body a gated endpoint or /readyz returns while the
 // server is not ready to take traffic.
 func (s *server) notReadyReason() string {
@@ -199,7 +182,7 @@ func (s *server) routes() *http.ServeMux {
 // refuseOnFollower guards a write endpoint: a follower replica is read-only
 // until promoted. Returns true when the 503 was written.
 func (s *server) refuseOnFollower(rw http.ResponseWriter) bool {
-	if s.mode.Load() != modeFollowing {
+	if s.dur == nil || !s.dur.Following() {
 		return false
 	}
 	http.Error(rw, "follower: read-only replica (POST /promote to take over)",
@@ -214,19 +197,23 @@ func (s *server) refuseOnFollower(rw http.ResponseWriter) bool {
 func (s *server) handlePromote(rw http.ResponseWriter, _ *http.Request) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
-	switch s.mode.Load() {
-	case modeWriter:
+	var st engine.FollowerStats
+	replica := false
+	if s.dur != nil {
+		st, replica = s.dur.FollowerStats()
+	}
+	switch {
+	case !replica:
 		http.Error(rw, "not a follower replica (started without -follow)", http.StatusConflict)
 		return
-	case modePromoted:
+	case st.Promoted:
 		rw.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(rw).Encode(map[string]any{
-			"promoted": true, "already": true, "resume_seq": s.durable().ResumeSeq(),
+			"promoted": true, "already": true, "resume_seq": s.dur.ResumeSeq(),
 		})
 		return
 	}
-	d, err := s.promote("http")
-	if err != nil {
+	if err := s.promote("http"); err != nil {
 		if errors.Is(err, wal.ErrLocked) {
 			http.Error(rw, fmt.Sprintf("writer still alive: %v", err), http.StatusConflict)
 			return
@@ -236,27 +223,24 @@ func (s *server) handlePromote(rw http.ResponseWriter, _ *http.Request) {
 	}
 	rw.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(rw).Encode(map[string]any{
-		"promoted": true, "resume_seq": d.ResumeSeq(),
+		"promoted": true, "resume_seq": s.dur.ResumeSeq(),
 	})
 }
 
-// promote runs the takeover under promoteMu (held by the caller) and flips
-// the serving role. A promoted replica is ready by construction: Promote
-// returns only after every durable arrival ran through the pipeline, so the
-// replica IS the frontier now.
-func (s *server) promote(trigger string) (*engine.Durable, error) {
-	d, err := s.fol.Promote()
-	if err != nil {
-		return nil, err
+// promote flips the follower handle to writing, under promoteMu (held by
+// the caller). A promoted replica is ready by construction: Promote returns
+// only after every durable arrival ran through the pipeline, so the replica
+// IS the frontier now.
+func (s *server) promote(trigger string) error {
+	if err := s.dur.Promote(); err != nil {
+		return err
 	}
-	s.dur.Store(d)
-	s.mode.Store(modePromoted)
 	s.readyReason.Store("")
 	s.ready.Store(true)
 	s.jr.Record("promote", "follower took over as writer", map[string]any{
-		"trigger": trigger, "resume_seq": d.ResumeSeq(),
+		"trigger": trigger, "resume_seq": s.dur.ResumeSeq(),
 	})
-	return d, nil
+	return nil
 }
 
 // handleEvents serves the lifecycle event journal as NDJSON, oldest first.
@@ -600,7 +584,7 @@ func (s *server) noteThrottle(stream int, wait time.Duration) {
 //	?snapshot=1  the current entity set, one JSON object
 //	?from=seq    replay the merged results with sequence >= seq — from the
 //	             in-memory ring when retained, regenerated byte-identically
-//	             from checkpoint + WAL (deep replay; requires -wal-dir) when
+//	             from checkpoint + WAL (deep replay; -wal-dir or -follow) when
 //	             the cursor has fallen behind the ring — then continue live.
 //	             410 Gone only when seq predates the retained durable
 //	             coverage (oldest_retained names the reachable bound).
@@ -645,7 +629,7 @@ func (s *server) handleResults(rw http.ResponseWriter, req *http.Request) {
 		// Dropped broadcast signals are harmless — the drop implies the
 		// channel holds 256 newer wake-ups, and every drain re-reads the
 		// ring from the cursor. Cursors below the ring's tail fall through
-		// to WAL-backed deep replay (when -wal-dir is on), which regenerates
+		// to WAL-backed deep replay (-wal-dir or -follow), which regenerates
 		// the gap and rejoins the ring; 410 is left for sequences below even
 		// that coverage.
 		cursor := from
@@ -726,8 +710,8 @@ func (s *server) handleResults(rw http.ResponseWriter, req *http.Request) {
 // served from: the durability layer's deep-replay reach when it extends
 // below the ring, the ring's tail otherwise.
 func (s *server) replayReach(ringOldest int64) int64 {
-	if d := s.durable(); d != nil {
-		if reach, ok := d.DeepReach(); ok && reach < ringOldest {
+	if s.dur != nil {
+		if reach, ok := s.dur.DeepReach(); ok && reach < ringOldest {
 			return reach
 		}
 	}
@@ -754,7 +738,7 @@ func writeGone(rw http.ResponseWriter, msg string, oldest int64) {
 // error, or mid-stream failure).
 func (s *server) deepReplay(rw http.ResponseWriter, req *http.Request, fl http.Flusher,
 	enc *json.Encoder, cursor *int64, started *bool, ringOldest int64) bool {
-	dur := s.durable()
+	dur := s.dur
 	if dur == nil {
 		if !*started {
 			writeGone(rw, fmt.Sprintf("results before seq %d are no longer retained", ringOldest), ringOldest)
@@ -942,12 +926,13 @@ func (s *server) handleStats(rw http.ResponseWriter, _ *http.Request) {
 		"next_seq":        next,
 		"retained":        retained,
 		// Always present so scrapers get a stable schema; non-zero only with
-		// -wal-dir, which deep replay requires.
+		// -wal-dir or -follow, which deep replay requires.
 		"deep_replays": int64(0),
 	}
-	dur := s.durable()
-	if dur != nil {
-		replayStats["deep_replays"] = dur.Stats().DeepReplays
+	var durStats engine.DurabilityStats
+	if s.dur != nil {
+		durStats = s.dur.Stats()
+		replayStats["deep_replays"] = durStats.DeepReplays
 	}
 	payload := map[string]any{
 		"engine": st,
@@ -962,21 +947,23 @@ func (s *server) handleStats(rw http.ResponseWriter, _ *http.Request) {
 			"inst_pair": instPair, "total": total,
 		},
 		// oldest_retained is the oldest cursor /results?from= can serve —
-		// through the in-memory ring or, with -wal-dir, WAL-backed deep
-		// replay; ring_oldest is the in-memory window alone.
+		// through the in-memory ring or, with -wal-dir or -follow,
+		// WAL-backed deep replay; ring_oldest is the in-memory window alone.
 		"replay":          replayStats,
 		"subscribers":     nSubs,
 		"dropped_results": s.dropped.Load(),
 		"rate_limited":    s.rateLimited.Load(),
 		"uptime_seconds":  time.Since(s.started).Seconds(),
 	}
-	if dur != nil {
-		payload["durability"] = dur.Stats()
-	}
-	if s.mode.Load() != modeWriter {
+	if s.dur != nil {
+		if !s.dur.Following() {
+			payload["durability"] = durStats
+		}
 		// Follower health: tail cursor, frontier, lag, catch-up counters,
 		// writer liveness — still reported after promotion (Promoted=true).
-		payload["follower"] = s.fol.Stats()
+		if st, ok := s.dur.FollowerStats(); ok {
+			payload["follower"] = st
+		}
 	}
 	rw.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(rw).Encode(payload)

@@ -462,7 +462,7 @@ func startDurableServer(t *testing.T, f serveFixture, shards, ringCap int, dir s
 		t.Fatal(err)
 	}
 	srv.eng = dur.Eng
-	srv.dur.Store(dur)
+	srv.dur = dur
 	srv.ready.Store(true)
 	return srv, dur, httptest.NewServer(srv.routes())
 }

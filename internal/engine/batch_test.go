@@ -204,7 +204,7 @@ func TestTrySubmitNotBlockedByStall(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	eng, err := New(f.sh, Config{
-		Core: f.cfg, Shards: 2, ImputeWorkers: 1, QueueDepth: 1,
+		Core: f.cfg, Shards: 1, QueueDepth: 1,
 		OnResult: func(Result) {
 			// Wedge the merger on the first finalized arrival; everything
 			// upstream backs up behind it.

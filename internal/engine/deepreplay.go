@@ -35,13 +35,32 @@ var ErrReplayDepthExceeded = errors.New("engine: deep replay depth exceeded")
 // errReplayStopped is the internal sentinel an emit=false unwinds with.
 var errReplayStopped = errors.New("engine: deep replay stopped by caller")
 
+// walView is the WAL as deep replay reads it in the handle's mode: the log
+// up to its durable frontier while writing, the tailer up to the last pass's
+// frontier while following. Results are a function of the arrival sequence
+// alone, so a follower regenerates exactly what the writer would. first is
+// the oldest sequence the WAL retains.
+func (d *Durable) walView() (read walReader, first int64, frontier func() int64, err error) {
+	if d.following.Load() {
+		first, err = d.tailer.FirstSeq()
+		return func(from int64, fn func(wal.Entry) error) error {
+			_, err := d.tailer.Replay(from, fn)
+			return err
+		}, first, d.frontier.Load, err
+	}
+	return d.Log.Replay, d.Log.Stats().FirstSeq, func() int64 { return d.Log.Stats().DurableSeq }, nil
+}
+
 // DeepReach returns the oldest arrival sequence deep replay can regenerate
 // results from: zero while the WAL has never been truncated (a throwaway
 // engine replays from genesis), otherwise the oldest retained checkpoint
 // state whose WAL suffix is fully retained. ok is false when no retained
 // state has WAL coverage — deep replay is then impossible.
 func (d *Durable) DeepReach() (int64, bool) {
-	walFirst := d.Log.Stats().FirstSeq
+	_, walFirst, _, err := d.walView()
+	if err != nil {
+		return 0, false
+	}
 	if walFirst == 0 {
 		return 0, true
 	}
@@ -59,12 +78,11 @@ func (d *Durable) DeepReach() (int64, bool) {
 }
 
 // replayBase picks the newest checkpoint state at-or-below from that the
-// retained WAL can replay forward, materializing delta chains; unreadable
-// states fall back to older ones. A nil checkpoint with nil error means
-// genesis: the WAL still reaches sequence zero and a fresh engine replays
-// from scratch.
-func (d *Durable) replayBase(from int64) (*snapshot.Checkpoint, error) {
-	walFirst := d.Log.Stats().FirstSeq
+// retained WAL (from walFirst on) can replay forward, materializing delta
+// chains; unreadable states fall back to older ones. A nil checkpoint with
+// nil error means genesis: the WAL still reaches sequence zero and a fresh
+// engine replays from scratch.
+func (d *Durable) replayBase(from, walFirst int64) (*snapshot.Checkpoint, error) {
 	_, c, _, err := newestCheckpoint(CheckpointDir(d.cfg.Dir), walFirst, from, nil, func(f ckptFile, err error) {
 		d.cfg.Logf("deep replay: skipping unreadable checkpoint %s: %v", f.name, err)
 	})
@@ -75,10 +93,10 @@ func (d *Durable) replayBase(from int64) (*snapshot.Checkpoint, error) {
 		ErrNoReplayCoverage, from, walFirst)
 }
 
-// DeepReplay regenerates the merged result stream for sequences >= from:
-// the newest retained checkpoint at-or-below from is restored into a
-// throwaway engine and the WAL arrivals past its watermark re-run through
-// the normal pipeline. emit receives every regenerated Result with
+// DeepReplay regenerates the merged result stream for sequences >= from, in
+// either mode: the newest retained checkpoint at-or-below from is restored
+// into a throwaway engine and the WAL arrivals past its watermark re-run
+// through the normal pipeline. emit receives every regenerated Result with
 // Seq >= from, in sequence order, byte-identical to the original emission;
 // returning false stops the replay early (results already in flight may
 // still be produced but are no longer delivered). upTo > 0 tells the replay
@@ -94,7 +112,11 @@ func (d *Durable) DeepReplay(ctx context.Context, from, upTo, limit int64, emit 
 	if from < 0 {
 		from = 0
 	}
-	ckpt, err := d.replayBase(from)
+	read, walFirst, frontier, err := d.walView()
+	if err != nil {
+		return err
+	}
+	ckpt, err := d.replayBase(from, walFirst)
 	if err != nil {
 		return err
 	}
@@ -105,7 +127,7 @@ func (d *Durable) DeepReplay(ctx context.Context, from, upTo, limit int64, emit 
 	if limit > 0 {
 		// The replay re-runs [base, target): to the caller's splice point
 		// when it has one, to the durable frontier otherwise.
-		target := d.Log.Stats().DurableSeq
+		target := frontier()
 		if upTo > 0 && upTo < target {
 			target = upTo
 		}
@@ -149,8 +171,8 @@ func (d *Durable) DeepReplay(ctx context.Context, from, upTo, limit int64, emit 
 	// emit usually stops the replay at the live ring's splice point, and what
 	// was submitted past it is wasted work drained on Close; stop and ctx are
 	// honoured between batches, so the batch is a quarter of recovery's.
-	for cursor := base; !stop.Load() && ctx.Err() == nil && cursor < d.Log.Stats().DurableSeq; {
-		cursor, err = replay(d.sh.Schema, d.Log.Replay, cursor, replayBatch/4, submit)
+	for cursor := base; !stop.Load() && ctx.Err() == nil && cursor < frontier(); {
+		cursor, err = replay(d.sh.Schema, read, cursor, replayBatch/4, submit)
 		if err != nil && !errors.Is(err, errReplayStopped) { // stopped: the loop condition ends it
 			eng.Close()
 			if errors.Is(err, wal.ErrTruncated) {

@@ -142,13 +142,16 @@ func (d *DurableConfig) fill() {
 	}
 }
 
-// Durable bundles a recovered engine with its WAL and checkpointer.
+// Durable is the one handle on a durability directory, from boot to
+// Close. OpenDurable opens it writing: the engine submits through the WAL
+// and a checkpointer runs. OpenFollower opens it following: a read-only
+// tailer feeds the engine, and Promote flips it to writing.
 type Durable struct {
 	// Eng is the recovered (or fresh) engine; submissions go through it as
 	// usual and are made durable by the attached WAL.
 	Eng *Engine
-	// Log is the arrival WAL. Owned by the Durable handle: Close closes it
-	// after the engine.
+	// Log is the arrival WAL, nil while the handle is following. Owned by the
+	// Durable handle: Close closes it after the engine.
 	Log *wal.Log
 
 	cfg           DurableConfig
@@ -171,8 +174,9 @@ type Durable struct {
 	deltaCount   int64
 	snapshots    int
 	// prevCkpt is the in-memory image of the newest on-disk checkpoint — the
-	// base the next delta diffs against; deltasSince counts deltas written
-	// since the last full snapshot.
+	// base the next delta diffs against while writing, the base catch-ups
+	// connect delta chains to while following; deltasSince counts deltas
+	// written since the last full snapshot.
 	prevCkpt    *snapshot.Checkpoint
 	deltasSince int
 	junkWarned  bool
@@ -182,9 +186,26 @@ type Durable struct {
 	// met is nil when the engine config disables instrumentation.
 	met *durableMetrics
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	// Following mode (see follower.go). tailer is set for a handle
+	// OpenFollower opened, promoted or not; following flips to false once,
+	// in Promote, after Log is set. applied is the next sequence to request
+	// from the WAL, frontier the durable frontier as of the last tail pass.
+	tailer      *wal.Tailer
+	beforePass  func()
+	following   atomic.Bool
+	applied     atomic.Int64
+	frontier    atomic.Int64
+	passes      atomic.Int64
+	catchups    atomic.Int64
+	incCatchups atomic.Int64
+
+	// modeMu serializes Promote and Close, the two calls that stop and
+	// start the background loop: the tail loop while following, the
+	// checkpointer while writing.
+	modeMu sync.Mutex
+	closed bool
+	stop   chan struct{}
+	wg     sync.WaitGroup
 }
 
 // durableMetrics are the checkpointer's and deep replay's instruments.
@@ -410,6 +431,15 @@ func replay(schema *tuple.Schema, read walReader, from int64, n int, submit func
 	return next, err
 }
 
+// bootCheckpoint is the checkpoint a handle boots from: the caller's
+// pre-loaded one, or the newest readable one on disk.
+func bootCheckpoint(d DurableConfig) (string, *snapshot.Checkpoint, error) {
+	if d.Checkpoint != nil {
+		return d.CheckpointPath, d.Checkpoint, nil
+	}
+	return LatestCheckpoint(d.Dir)
+}
+
 // OpenDurable boots a durable engine from a durability directory: restore
 // the newest snapshot (if any), open the WAL, replay every logged arrival
 // past the snapshot watermark through the normal pipeline, attach the WAL to
@@ -421,13 +451,9 @@ func OpenDurable(sh *core.Shared, cfg Config, d DurableConfig) (*Durable, error)
 	if err := os.MkdirAll(CheckpointDir(d.Dir), 0o755); err != nil {
 		return nil, err
 	}
-	path, ckpt := d.CheckpointPath, d.Checkpoint
-	if ckpt == nil {
-		var err error
-		path, ckpt, err = LatestCheckpoint(d.Dir)
-		if err != nil {
-			return nil, err
-		}
+	path, ckpt, err := bootCheckpoint(d)
+	if err != nil {
+		return nil, err
 	}
 	log, err := wal.Open(d.Dir, wal.Options{
 		SegmentBytes: d.SegmentBytes, QueueDepth: d.QueueDepth, NoSync: d.NoSync,
@@ -469,26 +495,23 @@ func OpenDurable(sh *core.Shared, cfg Config, d DurableConfig) (*Durable, error)
 		eng.Close()
 		return fail(fmt.Errorf("engine: wal replay: %w", err))
 	}
-	return newDurable(sh, engCfg, d, eng, log, path, path, ckpt, next-watermark), nil
+	dur := newDurable(sh, engCfg, d, eng, path, ckpt)
+	dur.Log, dur.replayed = log, next-watermark
+	dur.startLoop()
+	return dur, nil
 }
 
-// newDurable wraps an engine that submits through log in its durability
-// handle and starts the background checkpointer — the one constructor behind
-// OpenDurable and Follower.Promote. booted is the checkpoint file the process
-// booted from, reported by Stats; path and ckpt name the checkpoint state the
-// engine descends from (empty and nil for a cold start), which the
-// checkpointer treats as the newest state on disk — the boot file again,
-// unless a follower caught up past it; replayed is how many logged arrivals
-// were re-run to bring the engine to its current watermark.
-func newDurable(sh *core.Shared, engCfg Config, d DurableConfig, eng *Engine, log *wal.Log,
-	booted, path string, ckpt *snapshot.Checkpoint, replayed int64) *Durable {
+// newDurable wraps an engine booted from checkpoint ckpt (read from path;
+// nil and empty for a cold start) in its durability handle — the one
+// constructor behind OpenDurable and OpenFollower. The checkpointer treats
+// ckpt as the newest state on disk.
+func newDurable(sh *core.Shared, engCfg Config, d DurableConfig, eng *Engine, path string, ckpt *snapshot.Checkpoint) *Durable {
 	dur := &Durable{
-		Eng: eng, Log: log, cfg: d,
+		Eng: eng, cfg: d,
 		sh: sh, engCfg: engCfg,
-		recoveredFrom: booted, restored: ckpt,
-		replayed: replayed, resumeSeq: eng.seq.Load(),
+		recoveredFrom: path, restored: ckpt,
+		resumeSeq:   eng.seq.Load(),
 		lastCkptSeq: -1, lastCkptPath: path,
-		stop: make(chan struct{}),
 	}
 	if ckpt != nil {
 		dur.lastCkptSeq = ckpt.Seq
@@ -499,11 +522,50 @@ func newDurable(sh *core.Shared, engCfg Config, d DurableConfig, eng *Engine, lo
 	if files, _, err := listCheckpointFiles(CheckpointDir(d.Dir)); err == nil {
 		dur.snapshots = len(files)
 	}
-	if d.CheckpointInterval > 0 {
-		dur.wg.Add(1)
-		go dur.checkpointLoop()
-	}
 	return dur
+}
+
+// startLoop starts the handle's one background loop for its mode until
+// stopLoop: a tail pass every followPoll while following, a checkpoint
+// every CheckpointInterval (when set) while writing. The caller owns the
+// mode: it holds modeMu, or the handle is not shared yet.
+func (d *Durable) startLoop() {
+	period, step := followPoll, d.tailPass
+	if !d.following.Load() {
+		period, step = d.cfg.CheckpointInterval, func() {
+			if _, err := d.CheckpointNow(); err != nil {
+				d.cfg.Logf("background checkpoint: %v", err)
+			}
+		}
+	}
+	if period <= 0 {
+		return
+	}
+	stop := make(chan struct{})
+	d.stop = stop
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				step()
+			case <-stop:
+				return
+			}
+		}
+	}()
+}
+
+// stopLoop stops the background loop, if one runs, and waits for it.
+func (d *Durable) stopLoop() {
+	if d.stop != nil {
+		close(d.stop)
+		d.stop = nil
+	}
+	d.wg.Wait()
 }
 
 // ResumeSeq is the first sequence number the recovered engine will assign to
@@ -517,30 +579,16 @@ func (d *Durable) Replayed() int64 { return d.replayed }
 // cold start).
 func (d *Durable) RestoredCheckpoint() *snapshot.Checkpoint { return d.restored }
 
-// checkpointLoop is the background checkpointer.
-func (d *Durable) checkpointLoop() {
-	defer d.wg.Done()
-	tick := time.NewTicker(d.cfg.CheckpointInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			if _, err := d.CheckpointNow(); err != nil {
-				d.cfg.Logf("background checkpoint: %v", err)
-			}
-		case <-d.stop:
-			return
-		}
-	}
-}
-
 // CheckpointNow takes a barrier checkpoint, writes it atomically into the
 // checkpoint directory — as a v3 delta over the previous checkpoint when
 // DeltaEvery allows it, as a full snapshot otherwise — prunes states beyond
 // KeepCheckpoints, and truncates WAL segments older than the oldest retained
 // base. A watermark that has not advanced since the last checkpoint is a
-// no-op.
+// no-op. A following handle refuses: it never writes under its directory.
 func (d *Durable) CheckpointNow() (string, error) {
+	if d.following.Load() {
+		return "", errFollowing
+	}
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	captureStart := time.Now()
@@ -691,10 +739,10 @@ func (d *Durable) prune(newest int64) error {
 	return errors.Join(errs...)
 }
 
-// Stats reports WAL and checkpointer health for /stats.
+// Stats reports WAL and checkpointer health for /stats. While following,
+// the WAL block is empty and the replay lag is the follower's.
 func (d *Durable) Stats() DurabilityStats {
 	st := DurabilityStats{
-		WAL:           d.Log.Stats(),
 		RecoveredFrom: d.recoveredFrom,
 		Replayed:      d.replayed,
 		DeepReplays:   d.deepReplays.Load(),
@@ -703,7 +751,12 @@ func (d *Durable) Stats() DurabilityStats {
 	if reach, ok := d.DeepReach(); ok {
 		st.ReplayReach = reach
 	}
-	if lag := st.WAL.DurableSeq - d.Eng.Completed(); lag > 0 {
+	frontier := d.frontier.Load()
+	if !d.following.Load() {
+		st.WAL = d.Log.Stats()
+		frontier = st.WAL.DurableSeq
+	}
+	if lag := frontier - d.Eng.Completed(); lag > 0 {
 		st.ReplayLag = lag
 	}
 	d.ckptMu.Lock()
@@ -723,13 +776,22 @@ func (d *Durable) Stats() DurabilityStats {
 	return st
 }
 
-// Close stops the checkpointer, drains and closes the engine, optionally
-// writes one final checkpoint (so a clean restart replays nothing), and
-// closes the WAL.
+// Close stops the background loop and drains and closes the engine. While
+// writing it then optionally writes one final checkpoint (so a clean
+// restart replays nothing) and closes the WAL; a following handle leaves
+// its directory untouched even when asked for the final checkpoint.
 func (d *Durable) Close(finalCheckpoint bool) error {
-	d.stopOnce.Do(func() { close(d.stop) })
-	d.wg.Wait()
+	d.modeMu.Lock()
+	defer d.modeMu.Unlock()
+	if d.closed {
+		return nil
+	}
+	d.closed = true
+	d.stopLoop()
 	errEng := d.Eng.Close()
+	if d.following.Load() {
+		return errEng
+	}
 	var errCkpt error
 	if finalCheckpoint && errEng == nil {
 		// A drained, closed engine stays checkpointable; this captures the

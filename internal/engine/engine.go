@@ -68,9 +68,8 @@ type Config struct {
 	Core core.Config
 	// Shards is K, the number of ER-grid partitions / shard workers.
 	// Default: GOMAXPROCS capped at 8.
+	// The imputation pool has one worker per shard.
 	Shards int
-	// ImputeWorkers sizes the imputation pool. Default: Shards.
-	ImputeWorkers int
 	// QueueDepth bounds each pipeline channel. Default: 64.
 	QueueDepth int
 	// OnResult, when set, is invoked by the merger for every processed
@@ -116,9 +115,6 @@ func (c *Config) fill() {
 		if c.Shards > 8 {
 			c.Shards = 8
 		}
-	}
-	if c.ImputeWorkers <= 0 {
-		c.ImputeWorkers = c.Shards
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -192,10 +188,6 @@ type header struct {
 type Engine struct {
 	step *core.Step
 	cfg  Config
-	// autoImpute records that the caller left ImputeWorkers unset (<= 0), so
-	// the pool was defaulted to Shards. Reshard keeps the two in lockstep
-	// for auto-sized engines; an explicit ImputeWorkers stays fixed.
-	autoImpute bool
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -317,7 +309,6 @@ func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engi
 	if cfg.Shards == 0 {
 		cfg.Shards = checkpointShards(c)
 	}
-	autoImpute := cfg.ImputeWorkers <= 0
 	cfg.fill()
 	step, err := core.NewStep(sh, cfg.Core)
 	if err != nil {
@@ -335,7 +326,7 @@ func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engi
 	// The parts that outlive every state swap: the operator step, pools, and
 	// instrumentation. Windows, shard grids, and stage channels are install's
 	// job.
-	e := &Engine{step: step, cfg: cfg, autoImpute: autoImpute}
+	e := &Engine{step: step, cfg: cfg}
 	e.drained = sync.NewCond(&e.resultsMu)
 	e.ctx, e.cancel = context.WithCancel(context.Background())
 	if !cfg.ObsOff {
@@ -371,7 +362,7 @@ func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engi
 // start launches the pipeline goroutines and wires the shutdown cascade:
 // closing imputeIn drains the stages left to right.
 func (e *Engine) start() {
-	for w := 0; w < e.cfg.ImputeWorkers; w++ {
+	for w := 0; w < e.cfg.Shards; w++ {
 		e.imputeWG.Add(1)
 		go e.imputeWorker()
 	}
@@ -455,7 +446,7 @@ func (e *Engine) TrySubmitBatch(recs []*tuple.Record) error {
 // enough chunks to keep the impute pool busy (about two per worker), capped
 // so one chunk never serializes a large slice of the batch on one worker.
 func (e *Engine) chunkSize(n int) int {
-	c := (n + 2*e.cfg.ImputeWorkers - 1) / (2 * e.cfg.ImputeWorkers)
+	c := (n + 2*e.cfg.Shards - 1) / (2 * e.cfg.Shards)
 	if c < 1 {
 		c = 1
 	}

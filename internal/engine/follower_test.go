@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -42,8 +43,7 @@ func TestFollowerTailsWriterAndPromotes(t *testing.T) {
 	}
 	col := newCollector()
 	fol, err := OpenFollower(f.sh, Config{Core: f.cfg, Shards: 2, OnResult: col.onResult},
-		FollowerConfig{Dir: dir, Poll: 2 * time.Millisecond,
-			Durable: DurableConfig{NoSync: true, SegmentBytes: 4096}})
+		DurableConfig{Dir: dir, NoSync: true, SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFollowerTailsWriterAndPromotes(t *testing.T) {
 
 	// Taking over while the writer is alive must be refused — the flock is
 	// the writer's liveness — and the refusal must not stop the tail loop.
-	if _, err := fol.Promote(); !errors.Is(err, wal.ErrLocked) {
+	if err := fol.Promote(); !errors.Is(err, wal.ErrLocked) {
 		t.Fatalf("promote with a live writer = %v, want wal.ErrLocked", err)
 	}
 	if !fol.WriterAlive() {
@@ -87,14 +87,14 @@ func TestFollowerTailsWriterAndPromotes(t *testing.T) {
 	if err := w.Close(false); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := fol.Promote()
-	if err != nil {
+	if err := fol.Promote(); err != nil {
 		t.Fatal(err)
 	}
+	d2 := fol // promotion flips the same handle
 	if d2.ResumeSeq() != int64(more) {
 		t.Fatalf("promoted writer resumes at %d, want %d", d2.ResumeSeq(), more)
 	}
-	if st := fol.Stats(); !st.Promoted {
+	if st, _ := fol.FollowerStats(); !st.Promoted {
 		t.Fatal("stats do not report the promotion")
 	}
 	// Ingest resumes on the same engine, now on the durable path.
@@ -107,9 +107,6 @@ func TestFollowerTailsWriterAndPromotes(t *testing.T) {
 		t.Fatalf("wal frontier %d after resumed ingest, want %d", got, n)
 	}
 	if err := d2.Close(true); err != nil {
-		t.Fatal(err)
-	}
-	if err := fol.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -171,13 +168,12 @@ func TestFollowerLiveDeltaCatchUp(t *testing.T) {
 	// catch-up pass run.
 	var gate sync.RWMutex
 	gate.Lock()
-	fc := FollowerConfig{Dir: dir, Poll: time.Millisecond,
-		Durable: DurableConfig{NoSync: true}}
-	fc.beforePass = func() { gate.RLock(); gate.RUnlock() } //nolint:staticcheck // empty critical section is the point
-	fol, err := OpenFollower(f.sh, Config{Core: f.cfg, Shards: 2}, fc)
+	fol, err := openFollower(f.sh, Config{Core: f.cfg, Shards: 2}, DurableConfig{Dir: dir, NoSync: true},
+		func() { gate.RLock(); gate.RUnlock() }) //nolint:staticcheck // empty critical section is the point
 	if err != nil {
 		t.Fatal(err)
 	}
+	folStats := func() FollowerStats { st, _ := fol.FollowerStats(); return st }
 	if fol.Eng.Completed() != int64(q1) {
 		t.Fatalf("follower booted at %d, want checkpoint watermark %d", fol.Eng.Completed(), q1)
 	}
@@ -203,9 +199,9 @@ func TestFollowerLiveDeltaCatchUp(t *testing.T) {
 	// ApplyCheckpoint publishes the new watermark before catchUp counts the
 	// catch-up, so the counter is part of the awaited state.
 	waitUntil(t, "delta-chain catch-up onto the live engine", func() bool {
-		return fol.Stats().Catchups >= 1 && fol.Eng.Completed() >= int64(q3) && fol.Lag() == 0
+		return folStats().Catchups >= 1 && fol.Eng.Completed() >= int64(q3) && fol.Lag() == 0
 	})
-	st := fol.Stats()
+	st := folStats()
 	if st.Catchups < 1 {
 		t.Fatalf("no checkpoint catch-up recorded: %+v", st)
 	}
@@ -246,14 +242,14 @@ func TestFollowerLiveDeltaCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Promotion after a catch-up: both handles keep naming the checkpoint the
-	// process booted from, while the promoted writer descends from the state
-	// the catch-up installed.
-	p, err := fol.Promote()
-	if err != nil {
+	// Promotion after a catch-up: both stats blocks keep naming the
+	// checkpoint the process booted from, while the promoted writer descends
+	// from the state the catch-up installed.
+	if err := fol.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := p.Stats().RecoveredFrom, fol.Stats().RecoveredFrom; got != want || want == "" {
+	p := fol
+	if got, want := p.Stats().RecoveredFrom, folStats().RecoveredFrom; got != want || want == "" {
 		t.Fatalf("promoted writer reports recovered_from %q, its follower %q", got, want)
 	}
 	if got := p.RestoredCheckpoint().Seq; got != int64(q3) {
@@ -262,7 +258,65 @@ func TestFollowerLiveDeltaCatchUp(t *testing.T) {
 	if err := p.Close(false); err != nil {
 		t.Fatal(err)
 	}
-	if err := fol.Close(); err != nil {
+}
+
+// TestFollowerDeepReplayMatchesWriter: deep replay on a following handle —
+// read through the tailer, bounded by the last pass's frontier — regenerates
+// exactly what the writer's handle does, from below the checkpoint the
+// follower booted from.
+func TestFollowerDeepReplayMatchesWriter(t *testing.T) {
+	f := loadFixture(t)
+	n := len(f.stream)
+	half := n / 2
+	dir := t.TempDir()
+
+	w, err := OpenDurable(f.sh, Config{Core: f.cfg, Shards: 2}, DurableConfig{Dir: dir, NoSync: true})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer w.Close(false)
+	for _, r := range f.stream[:half] {
+		if err := w.Eng.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range f.stream[half:] {
+		if err := w.Eng.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fol, err := OpenFollower(f.sh, Config{Core: f.cfg, Shards: 2}, DurableConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close(false)
+	if got := fol.ResumeSeq(); got != int64(half) {
+		t.Fatalf("follower booted at seq %d, want the checkpoint's %d", got, half)
+	}
+	waitUntil(t, "follower caught up to the writer", func() bool {
+		return fol.Eng.Completed() == int64(n) && fol.Lag() == 0
+	})
+	if reach, ok := fol.DeepReach(); !ok || reach != 0 {
+		t.Fatalf("follower deep-replay reach = %d, %v; want 0, true", reach, ok)
+	}
+
+	want, wantHigh := deepCollect(t, w, 0, 0)
+	got, gotHigh := deepCollect(t, fol, 0, 0)
+	if wantHigh != int64(n-1) || gotHigh != wantHigh {
+		t.Fatalf("deep replay reached seq %d on the follower, %d on the writer, want %d", gotHigh, wantHigh, n-1)
+	}
+	for seq, wr := range want {
+		gr := got[seq]
+		if gr.RID != wr.RID || gr.Rejected != wr.Rejected ||
+			strings.Join(gr.Expired, ",") != strings.Join(wr.Expired, ",") || !samePairs(wr.Pairs, gr.Pairs) {
+			t.Fatalf("seq %d: follower regenerated %+v, writer %+v", seq, gr, wr)
+		}
+	}
+	if st := fol.Stats(); st.DeepReplays != 1 {
+		t.Fatalf("follower counts %d deep replays, want 1", st.DeepReplays)
 	}
 }

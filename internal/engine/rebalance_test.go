@@ -349,9 +349,8 @@ func TestRebalanceClosedAndInvalid(t *testing.T) {
 }
 
 // TestRebalanceResizesImputeWorkers pins the impute-pool sizing contract
-// across reshards: an auto-sized pool (ImputeWorkers unset) follows K,
-// while an explicitly configured pool stays fixed. Both engines keep
-// processing correctly after the resize.
+// across reshards: the pool has one worker per shard, so it follows K, and
+// the engine keeps processing correctly after the resize.
 func TestRebalanceResizesImputeWorkers(t *testing.T) {
 	f := loadFixture(t)
 
@@ -382,18 +381,6 @@ func TestRebalanceResizesImputeWorkers(t *testing.T) {
 		if err := auto.Submit(r); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	fixed, err := New(f.sh, Config{Core: f.cfg, Shards: 2, ImputeWorkers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fixed.Close()
-	if err := fixed.Reshard(4); err != nil {
-		t.Fatal(err)
-	}
-	if got := fixed.Stats().ImputeWorkers; got != 3 {
-		t.Fatalf("explicit impute pool resized to %d by reshard, want 3", got)
 	}
 }
 

@@ -162,12 +162,8 @@ func (e *Engine) install(k int, c *snapshot.Checkpoint) error {
 
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
+	// The impute pool follows K too: start() sizes it from Shards.
 	e.cfg.Shards = k
-	if e.autoImpute {
-		// An auto-sized impute pool follows K, so a grown K gets a grown
-		// imputation stage too; start() reads the value when it launches.
-		e.cfg.ImputeWorkers = k
-	}
 	e.imputeIn = make(chan []*item, e.cfg.QueueDepth)
 	e.imputedOut = make(chan []*item, e.cfg.QueueDepth)
 	e.hdrCh = make(chan []header, e.cfg.QueueDepth)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"terids/internal/core"
 	"terids/internal/snapshot"
@@ -512,25 +511,19 @@ func TestRestoreEntryPointsEquivalent(t *testing.T) {
 			return d.Eng.ResultSet()
 		}},
 		{"Promote", func(t *testing.T, col *collector) []core.Pair {
-			// A poll interval that never fires leaves the whole suffix to the
-			// promotion's remainder replay.
-			d := crashDir(t)
-			fol, err := OpenFollower(f.sh, Config{Core: f.cfg, Shards: k, OnResult: col.onResult},
-				FollowerConfig{Dir: d.Dir, Poll: time.Hour, Durable: d})
+			// Promoting right after boot leaves the suffix to the promotion's
+			// remainder replay (a tail pass that fires first takes a prefix).
+			p, err := OpenFollower(f.sh, Config{Core: f.cfg, Shards: k, OnResult: col.onResult}, crashDir(t))
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := fol.Promote()
-			if err != nil {
+			if err := p.Promote(); err != nil {
 				t.Fatal(err)
 			}
 			if p.ResumeSeq() != int64(n) {
 				t.Fatalf("promoted writer resumes at %d, want %d", p.ResumeSeq(), n)
 			}
 			if err := p.Close(false); err != nil {
-				t.Fatal(err)
-			}
-			if err := fol.Close(); err != nil {
 				t.Fatal(err)
 			}
 			return p.Eng.ResultSet()

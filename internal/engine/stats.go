@@ -31,9 +31,8 @@ type ShardStats struct {
 // Considered, Topic and SimUB are diagnostics of this engine's work.
 type Stats struct {
 	Shards int `json:"shards"`
-	// ImputeWorkers is the current imputation pool size. It tracks Shards
-	// across reshards when the configuration auto-sized it, and stays at
-	// the configured value otherwise.
+	// ImputeWorkers is the current imputation pool size: one worker per
+	// shard, so it tracks Shards across reshards.
 	ImputeWorkers int   `json:"impute_workers"`
 	Submitted     int64 `json:"submitted"`
 	Completed     int64 `json:"completed"`
@@ -63,7 +62,7 @@ func (e *Engine) Stats() Stats {
 	e.stateMu.RLock()
 	st := Stats{
 		Shards:        e.cfg.Shards,
-		ImputeWorkers: e.cfg.ImputeWorkers,
+		ImputeWorkers: e.cfg.Shards,
 		Submitted:     submitted,
 		Completed:     completed,
 		Rejected:      rejected,

@@ -12,13 +12,9 @@
 package wal
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
+	"math"
 	"os"
-	"path/filepath"
-	"sort"
 )
 
 // Tailer reads another process's live WAL directory without mutating it.
@@ -42,35 +38,6 @@ func OpenTail(dir string) (*Tailer, error) {
 	return &Tailer{dir: dir}, nil
 }
 
-// Dir returns the tailed directory.
-func (t *Tailer) Dir() string { return t.dir }
-
-// scan lists the directory's segments with their current sizes, oldest
-// first — the same scan Open performs, minus every mutation.
-func (t *Tailer) scan() ([]segmeta, error) {
-	des, err := os.ReadDir(t.dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []segmeta
-	for _, de := range des {
-		first, ok := parseSegName(de.Name())
-		if !ok || de.IsDir() {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // removed between ReadDir and stat
-			}
-			return nil, err
-		}
-		segs = append(segs, segmeta{first: first, path: filepath.Join(t.dir, de.Name()), size: info.Size()})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-	return segs, nil
-}
-
 // Replay streams every fully-written entry with sequence >= from, in
 // order, to fn, and returns the next sequence to request — the durable
 // frontier as of this pass. A torn or partially-visible record in the tail
@@ -80,90 +47,19 @@ func (t *Tailer) scan() ([]segmeta, error) {
 // resume from its watermark. fn returning an error aborts the pass with
 // that error.
 func (t *Tailer) Replay(from int64, fn func(Entry) error) (int64, error) {
-	segs, err := t.scan()
+	segs, err := scanSegments(t.dir)
 	if err != nil {
 		return from, err
 	}
-	if len(segs) == 0 {
-		return from, nil
-	}
-	if from < segs[0].first {
-		return from, fmt.Errorf("%w: entries from seq %d requested, oldest retained is %d",
-			ErrTruncated, from, segs[0].first)
-	}
-	next := from
-	for i, s := range segs {
-		if i+1 < len(segs) && segs[i+1].first <= from {
-			continue // entirely below the requested range
-		}
-		tail := i == len(segs)-1
-		done, err := t.replaySegment(s, from, &next, tail, fn)
-		if err != nil {
-			return next, err
-		}
-		if done {
-			break
-		}
-	}
-	return next, nil
+	return readSegments(segs, from, math.MaxInt64, true, fn)
 }
 
-// replaySegment delivers one segment's entries at or past from, advancing
-// *next. For the tail segment any malformed record is the durable end (the
-// writer may be mid-write and large batch writes are not atomic to
-// readers); done=true stops the pass there. Rotated segments are immutable,
-// so their record errors are real corruption — except a vanished file,
-// which is truncation.
-func (t *Tailer) replaySegment(s segmeta, from int64, next *int64, tail bool, fn func(Entry) error) (done bool, err error) {
-	f, err := os.Open(s.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, fmt.Errorf("%w: segment %s removed mid-tail", ErrTruncated, filepath.Base(s.path))
-		}
-		return false, err
+// FirstSeq returns the oldest sequence the directory still retains (zero
+// when it holds no segment).
+func (t *Tailer) FirstSeq() (int64, error) {
+	segs, err := scanSegments(t.dir)
+	if err != nil || len(segs) == 0 {
+		return 0, err
 	}
-	//lint:ignore walerr read-only tail scan; close cannot lose data
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var off int64
-	for {
-		payload, n, rerr := readRecord(br, s.size-off)
-		if rerr == io.EOF {
-			return false, nil
-		}
-		if rerr != nil {
-			if tail || errors.Is(rerr, errShortRecord) {
-				// Torn tail, or a record grown past the scanned size: the
-				// durable prefix ends here for this pass.
-				return true, nil
-			}
-			return false, fmt.Errorf("wal: segment %s at offset %d: %w", filepath.Base(s.path), off, rerr)
-		}
-		e, derr := decodeEntry(payload)
-		if derr != nil {
-			if tail {
-				return true, nil
-			}
-			return false, fmt.Errorf("wal: segment %s at offset %d: %w", filepath.Base(s.path), off, derr)
-		}
-		off += n
-		if e.Seq < from {
-			continue
-		}
-		if e.Seq != *next {
-			return false, fmt.Errorf("wal: segment %s: entry seq %d, expected %d (log not contiguous)",
-				filepath.Base(s.path), e.Seq, *next)
-		}
-		*next = e.Seq + 1
-		if err := fn(e); err != nil {
-			return false, err
-		}
-	}
-}
-
-// Frontier returns the sequence after the last fully-written entry at or
-// past from, without delivering anything — how far a fresh reader could
-// get right now.
-func (t *Tailer) Frontier(from int64) (int64, error) {
-	return t.Replay(from, func(Entry) error { return nil })
+	return segs[0].first, nil
 }

@@ -54,9 +54,10 @@ func TestTailerFollowsAppends(t *testing.T) {
 		}
 	}
 
-	fr, err := tl.Frontier(0)
+	// A pass that delivers nothing still reports the frontier.
+	fr, err := tl.Replay(0, func(Entry) error { return nil })
 	if err != nil || fr != 50 {
-		t.Fatalf("Frontier = %d, %v; want 50", fr, err)
+		t.Fatalf("Replay(0) frontier = %d, %v; want 50", fr, err)
 	}
 }
 

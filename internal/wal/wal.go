@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -256,36 +257,8 @@ func Open(dir string, opts Options) (*Log, error) {
 		"Entries per WAL group-commit batch (how well concurrent submitters amortize each fsync).", nil)
 	l.jr = obs.DefaultJournal()
 
-	des, err := os.ReadDir(dir)
-	if err != nil {
+	if l.segs, err = scanSegments(dir); err != nil {
 		return nil, err
-	}
-	for _, de := range des {
-		first, ok := parseSegName(de.Name())
-		if !ok || de.IsDir() {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			return nil, err
-		}
-		l.segs = append(l.segs, segmeta{first: first, path: filepath.Join(dir, de.Name()), size: info.Size()})
-	}
-	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].first < l.segs[j].first })
-	for i := 1; i < len(l.segs); i++ {
-		if l.segs[i].first <= l.segs[i-1].first {
-			return nil, fmt.Errorf("wal: segments %s and %s overlap",
-				filepath.Base(l.segs[i-1].path), filepath.Base(l.segs[i].path))
-		}
-	}
-	// A zero-byte tail (crash between segment creation and first write)
-	// carries no entries; drop it so the scan below sees real records.
-	for len(l.segs) > 0 && l.segs[len(l.segs)-1].size == 0 {
-		tail := l.segs[len(l.segs)-1]
-		if err := os.Remove(tail.path); err != nil {
-			return nil, err
-		}
-		l.segs = l.segs[:len(l.segs)-1]
 	}
 	if len(l.segs) > 0 {
 		if err := l.openTail(); err != nil {
@@ -300,48 +273,20 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// openTail scans the last segment record by record, truncates any torn tail,
-// and opens it for appending.
+// openTail finds the tail segment's durable prefix — a torn or corrupt
+// final record (crash mid-write) ends it — truncates the rest, and opens the
+// segment for appending. A tail with no whole record (a zero-byte segment, a
+// pure torn write) is removed and the one before it becomes the tail.
 func (l *Log) openTail() error {
 	tail := &l.segs[len(l.segs)-1]
-	f, err := os.Open(tail.path)
+	next := tail.first
+	// from = MinInt64: every record counts, so the first must carry the
+	// filename's sequence and the rest must follow it without a gap.
+	good, _, err := readSegment(*tail, math.MinInt64, math.MaxInt64, &next, true, func(Entry) error { return nil })
 	if err != nil {
 		return err
 	}
-	br := bufio.NewReader(f)
-	var good int64
-	last := int64(-1)
-	for {
-		payload, n, err := readRecord(br, tail.size-good)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Torn or corrupt tail record: everything before it is the
-			// durable prefix; drop the rest.
-			break
-		}
-		e, derr := decodeEntry(payload)
-		if derr != nil {
-			break
-		}
-		if last == -1 {
-			if e.Seq != tail.first {
-				_ = f.Close() // walerr: read-only scan; the format error is what matters
-				return fmt.Errorf("wal: segment %s starts at seq %d, filename says %d",
-					filepath.Base(tail.path), e.Seq, tail.first)
-			}
-		} else if e.Seq != last+1 {
-			_ = f.Close() // walerr: read-only scan; the format error is what matters
-			return fmt.Errorf("wal: segment %s jumps from seq %d to %d",
-				filepath.Base(tail.path), last, e.Seq)
-		}
-		last = e.Seq
-		good += n
-	}
-	_ = f.Close() // walerr: read-only scan; the tail reopens O_RDWR below
-	if last == -1 {
-		// No whole record survived; the segment is a pure torn write.
+	if next == tail.first {
 		if err := os.Remove(tail.path); err != nil {
 			return err
 		}
@@ -363,55 +308,19 @@ func (l *Log) openTail() error {
 	}
 	l.f = w
 	l.fsize = tail.size
-	l.next = last + 1
-	l.durable = l.next
+	l.next = next
+	l.durable = next
 	return nil
 }
 
 // Reserve claims the next slot in the pending batch for e and returns a
-// ticket to wait on. Entries must be contiguous: e.Seq equal to the previous
-// reservation plus one. A sequence already reserved (or durable) is a no-op
-// — the returned ticket is immediately ready — which makes recovery replay
-// through the normal submission path idempotent. With block=false a full
-// queue returns ErrFull instead of waiting.
-//
-//terids:hotpath
+// ticket to wait on — ReserveN for one entry. e.Seq must be the previous
+// reservation plus one; a sequence already reserved (or durable) is a no-op
+// whose ticket is immediately ready, which makes recovery replay through
+// the normal submission path idempotent. With block=false a full queue
+// returns ErrFull instead of waiting.
 func (l *Log) Reserve(e Entry, block bool) (Ticket, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if l.closed {
-			return Ticket{}, ErrClosed
-		}
-		if l.err != nil {
-			return Ticket{}, l.err
-		}
-		if l.next >= 0 && e.Seq < l.next {
-			return Ticket{}, nil // already reserved or durable
-		}
-		if l.next >= 0 && e.Seq > l.next {
-			return Ticket{}, fmt.Errorf("wal: append seq %d leaves a gap (next is %d)", e.Seq, l.next)
-		}
-		if l.cur == nil || len(l.cur.entries) < l.opts.QueueDepth {
-			break
-		}
-		if !block {
-			return Ticket{}, ErrFull
-		}
-		l.notFull.Wait()
-	}
-	if l.cur == nil {
-		l.cur = &flush{done: make(chan struct{})}
-	}
-	l.cur.entries = append(l.cur.entries, e)
-	if l.next < 0 {
-		// First entry of an empty log: it fixes the starting sequence, and
-		// the durable frontier starts right at it (nothing older exists).
-		l.durable = e.Seq
-	}
-	l.next = e.Seq + 1
-	l.notEmpty.Signal()
-	return Ticket{f: l.cur}, nil
+	return l.ReserveN([]Entry{e}, block)
 }
 
 // ReserveN claims slots for a whole batch of entries under one lock
@@ -632,10 +541,64 @@ func (l *Log) Replay(from int64, fn func(Entry) error) error {
 	if len(segs) == 0 || stop < 0 {
 		return nil
 	}
-	if from < segs[0].first {
-		return fmt.Errorf("%w: entries from seq %d requested, oldest retained is %d", ErrTruncated, from, segs[0].first)
+	expect, err := readSegments(segs, from, stop, false, fn)
+	if err == nil && expect < stop {
+		err = fmt.Errorf("wal: replay ended at seq %d, durable frontier is %d", expect, stop)
 	}
-	expect := from
+	return err
+}
+
+// scanSegments lists dir's segments with their current sizes, oldest first.
+// It only reads: Open and the Tailer share it, and a segment removed between
+// the listing and its stat (a live writer truncating under a tailer) is
+// skipped.
+func scanSegments(dir string) ([]segmeta, error) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var segs []segmeta
+	for _, de := range des {
+		first, ok := parseSegName(de.Name())
+		if !ok || de.IsDir() {
+			continue
+		}
+		info, err := de.Info()
+		if err != nil {
+			if os.IsNotExist(err) {
+				continue
+			}
+			return nil, err
+		}
+		segs = append(segs, segmeta{first: first, path: filepath.Join(dir, de.Name()), size: info.Size()})
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
+	for i := 1; i < len(segs); i++ {
+		if segs[i].first <= segs[i-1].first {
+			return nil, fmt.Errorf("wal: segments %s and %s overlap",
+				filepath.Base(segs[i-1].path), filepath.Base(segs[i].path))
+		}
+	}
+	return segs, nil
+}
+
+// readSegments is the one segment reader behind Log.Replay and
+// Tailer.Replay: it streams every entry in [from, stop) of segs (oldest
+// first) to fn and returns the sequence after the last one delivered. A
+// record running past a segment's known size ends the pass — the writer is
+// mid-append. With tornTail, so does any malformed record in the last
+// segment: a tailer cannot tell a torn write from one in progress.
+// ErrTruncated reports a from below the oldest segment, or a segment removed
+// mid-pass.
+func readSegments(segs []segmeta, from, stop int64, tornTail bool, fn func(Entry) error) (int64, error) {
+	if len(segs) == 0 {
+		return from, nil
+	}
+	if from < segs[0].first {
+		return from, fmt.Errorf("%w: entries from seq %d requested, oldest retained is %d",
+			ErrTruncated, from, segs[0].first)
+	}
+	next := from
 	for i, s := range segs {
 		if i+1 < len(segs) && segs[i+1].first <= from {
 			continue // entirely below the requested range
@@ -643,25 +606,26 @@ func (l *Log) Replay(from int64, fn func(Entry) error) error {
 		if s.first >= stop {
 			break
 		}
-		if err := l.replaySegment(s, from, stop, &expect, fn); err != nil {
-			return err
+		_, done, err := readSegment(s, from, stop, &next, tornTail && i == len(segs)-1, fn)
+		if err != nil || done {
+			return next, err
 		}
 	}
-	if expect < stop {
-		return fmt.Errorf("wal: replay ended at seq %d, durable frontier is %d", expect, stop)
-	}
-	return nil
+	return next, nil
 }
 
-func (l *Log) replaySegment(s segmeta, from, stop int64, expect *int64, fn func(Entry) error) error {
+// readSegment delivers one segment's entries in [from, stop), advancing
+// *next; end is the byte offset after the last whole record read, and done
+// reports that the pass ends here (see readSegments).
+func readSegment(s segmeta, from, stop int64, next *int64, torn bool, fn func(Entry) error) (end int64, done bool, err error) {
 	f, err := os.Open(s.path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			// TruncateBefore removed the segment between our metadata
-			// snapshot and this open: the range is gone, cleanly.
-			return fmt.Errorf("%w: segment %s removed mid-replay", ErrTruncated, filepath.Base(s.path))
+			// TruncateBefore removed the segment between the scan and this
+			// open: the range is gone, cleanly.
+			return 0, false, fmt.Errorf("%w: segment %s removed mid-replay", ErrTruncated, filepath.Base(s.path))
 		}
-		return err
+		return 0, false, err
 	}
 	//lint:ignore walerr read-only replay scan; close cannot lose data
 	defer f.Close()
@@ -669,31 +633,34 @@ func (l *Log) replaySegment(s segmeta, from, stop int64, expect *int64, fn func(
 	var off int64
 	for {
 		payload, n, err := readRecord(br, s.size-off)
-		if err == io.EOF || errors.Is(err, errShortRecord) {
-			// errShortRecord here means the segment grew past the captured
-			// size snapshot mid-read; everything durable was delivered.
-			return nil
+		if err == io.EOF {
+			return off, false, nil
+		}
+		var e Entry
+		if err == nil {
+			e, err = decodeEntry(payload)
 		}
 		if err != nil {
-			return fmt.Errorf("wal: segment %s at offset %d: %w", filepath.Base(s.path), off, err)
+			if torn || errors.Is(err, errShortRecord) {
+				return off, true, nil
+			}
+			return off, false, fmt.Errorf("wal: segment %s at offset %d: %w", filepath.Base(s.path), off, err)
 		}
-		e, err := decodeEntry(payload)
-		if err != nil {
-			return fmt.Errorf("wal: segment %s at offset %d: %w", filepath.Base(s.path), off, err)
+		if e.Seq < from {
+			off += n
+			continue
+		}
+		if e.Seq != *next {
+			return off, false, fmt.Errorf("wal: segment %s: entry seq %d, expected %d (log not contiguous)",
+				filepath.Base(s.path), e.Seq, *next)
+		}
+		if e.Seq >= stop {
+			return off, true, nil
 		}
 		off += n
-		if e.Seq >= stop {
-			return nil
-		}
-		if e.Seq >= from {
-			if e.Seq != *expect {
-				return fmt.Errorf("wal: segment %s: entry seq %d, expected %d (log not contiguous)",
-					filepath.Base(s.path), e.Seq, *expect)
-			}
-			*expect = e.Seq + 1
-			if err := fn(e); err != nil {
-				return err
-			}
+		*next = e.Seq + 1
+		if err := fn(e); err != nil {
+			return off, false, err
 		}
 	}
 }
