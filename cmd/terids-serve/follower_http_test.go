@@ -48,8 +48,7 @@ func TestFollowerHTTPModeAndPromotion(t *testing.T) {
 		}
 	}()
 
-	srv := newServer(f.sh, 1024, 0, "")
-	srv.streams = f.cfg.Streams
+	srv := newServer(f.sh, serveConfig(t, 1024), 0)
 	fol, err := engine.OpenFollower(f.sh,
 		engine.Config{Core: f.cfg, Shards: 2, OnResult: srv.onResult},
 		engine.DurableConfig{Dir: dir, NoSync: true})
@@ -58,10 +57,10 @@ func TestFollowerHTTPModeAndPromotion(t *testing.T) {
 	}
 	srv.eng = fol.Eng
 	srv.dur = fol
-	srv.ready.Store(true)
+	srv.advance(phaseFollowing)
 	ts := httptest.NewServer(srv.routes())
 	defer func() {
-		close(srv.done)
+		srv.shutdown()
 		ts.Close()
 		_ = fol.Close(false)
 	}()
@@ -263,7 +262,7 @@ func TestFollowerDeepReplayBelowRing(t *testing.T) {
 
 	wsrv, w, wts := startDurableServer(t, f, 2, 4096, dir, engine.DurableConfig{})
 	defer func() {
-		close(wsrv.done)
+		wsrv.shutdown()
 		wts.Close()
 		_ = w.Close(false)
 	}()
@@ -280,8 +279,7 @@ func TestFollowerDeepReplayBelowRing(t *testing.T) {
 	if ckpt == nil || ckpt.Seq != int64(half) {
 		t.Fatalf("newest checkpoint %v, want one at seq %d", ckpt, half)
 	}
-	srv := newServer(f.sh, 4096, ckpt.Seq, "")
-	srv.streams = f.cfg.Streams
+	srv := newServer(f.sh, serveConfig(t, 4096), ckpt.Seq)
 	fol, err := engine.OpenFollower(f.sh,
 		engine.Config{Core: f.cfg, Shards: 2, OnResult: srv.onResult},
 		engine.DurableConfig{Dir: dir, Checkpoint: ckpt, CheckpointPath: path})
@@ -289,10 +287,10 @@ func TestFollowerDeepReplayBelowRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.eng, srv.dur = fol.Eng, fol
-	srv.ready.Store(true)
+	srv.advance(phaseFollowing)
 	fts := httptest.NewServer(srv.routes())
 	defer func() {
-		close(srv.done)
+		srv.shutdown()
 		fts.Close()
 		_ = fol.Close(false)
 	}()

@@ -38,8 +38,9 @@
 //	                records one in N arrivals' full per-stage breakdown).
 //	GET  /healthz   liveness (503 once the pipeline has failed or shutdown
 //	                has begun; 200 while still starting or recovering).
-//	GET  /readyz    readiness (503 with a reason body — "starting",
-//	                "recovering", "rebalancing" — until recovery replay
+//	GET  /readyz    readiness (503 with the phase as the body — "starting",
+//	                "recovering", "catching up", "rebalancing", "shutting
+//	                down" — until recovery replay or follower catch-up
 //	                finishes and the engine is serving traffic).
 //	GET  /events    the lifecycle event journal as NDJSON — reshards,
 //	                checkpoints, WAL rotation/truncation, deep replays,
@@ -55,9 +56,19 @@
 //	                attach the log, reopen /ingest and /rebalance. 409 while
 //	                the old writer still holds the liveness lock.
 //
-// The HTTP listener starts before the engine: during a long recovery replay
-// the probes, /metrics, and /events already answer, while engine-backed
-// endpoints return 503 with the startup phase as the body.
+// The server reads one validated config (every flag range is checked before
+// any data is generated) and moves through one lifecycle phase, forward
+// only: a writer goes starting → recovering (with -wal-dir) → writing; a
+// follower goes starting → catching up → following → writing, the last
+// step being promotion, which may also come straight from catching up; any
+// phase ends in shutting down, and a promotion or catch-up that lands after
+// shutdown began changes nothing. A follower runs one background loop: it
+// moves catching up → following once the first tail pass drains, promotes
+// after the -promote-on-writer-loss grace when that is set, and exits on
+// promotion or shutdown. The HTTP listener starts before the
+// engine: during a long recovery replay the probes, /metrics, and /events
+// already answer, while engine-backed endpoints return 503 with the phase as
+// the body until it is following or writing.
 //
 // -slo declares service-level objectives over the exported metric families
 // (repeatable; -slo-file loads one spec per line). Latency objectives read
@@ -135,14 +146,11 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"terids/internal/cliutil"
 	"terids/internal/core"
 	"terids/internal/dataset"
 	"terids/internal/engine"
@@ -158,110 +166,28 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("terids-serve: ")
 
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		name        = flag.String("dataset", "Citations", "dataset profile bootstrapping the repository/schema")
-		alpha       = flag.Float64("alpha", 0.5, "probabilistic threshold α in [0,1)")
-		rho         = flag.Float64("rho", 0.5, "similarity ratio ρ (γ = ρ·d)")
-		w           = flag.Int("w", 200, "sliding window size")
-		streams     = flag.Int("streams", 2, "number of incoming streams")
-		eta         = flag.Float64("eta", 0.5, "repository size ratio η")
-		scale       = flag.Float64("scale", 1.0, "dataset scale factor")
-		seed        = flag.Int64("seed", 1, "generation seed")
-		shards      = flag.Int("shards", 0, "ER-grid shards (0 = GOMAXPROCS, max 8)")
-		queue       = flag.Int("queue", 256, "bounded queue depth per pipeline stage")
-		keywords    = flag.String("keywords", "", "comma-separated query keywords (default: the profile's topics)")
-		replayCap   = flag.Int("replay-buffer", 4096, "merged results retained for /results?from= replay")
-		replayDep   = flag.Int64("replay-depth", 0, "max arrivals one WAL-backed deep replay may re-run (0 = unlimited)")
-		restore     = flag.String("restore", "", "boot the engine from this checkpoint file")
-		ckptOnExit  = flag.String("checkpoint-on-exit", "", "drain and write a final checkpoint here on SIGINT/SIGTERM")
-		ckptDir     = flag.String("checkpoint-dir", "", "directory /snapshot?path= may write into (empty = server-side writes disabled)")
-		walDir      = flag.String("wal-dir", "", "durability root: write-ahead log + periodic checkpoints + auto-recovery on boot")
-		follow      = flag.String("follow", "", "tail this durability root as a read-only follower replica: restore its newest checkpoint, tail the writer's WAL, serve reads; POST /promote takes over as writer")
-		promoteLoss = flag.Duration("promote-on-writer-loss", 0, "auto-promote once the writer's liveness lock has been free this long (0 = manual POST /promote only; requires -follow)")
-		ckptEvery   = flag.Duration("checkpoint-interval", 0, "background checkpoint period (0 = disabled; requires -wal-dir)")
-		ckptKeep    = flag.Int("checkpoint-keep", 2, "checkpoint states retained under -wal-dir (older ones and their WAL segments are pruned)")
-		ckptDelta   = flag.Int("checkpoint-delta", 0, "delta checkpoints written between full snapshots under -wal-dir (0 = always full)")
-		rateLimit   = flag.Float64("rate-limit", 0, "per-stream ingest rate limit in tuples/sec (0 = unlimited; over-limit gets 429 + Retry-After)")
-		rateBurst   = flag.Int("rate-burst", 0, "per-stream token-bucket burst (0 = one second's worth of -rate-limit)")
-		debugAddr   = flag.String("debug-addr", "", "separate listener for net/http/pprof, expvar, and /metrics (empty = disabled)")
-		traceEvery  = flag.Int("trace-sample", 0, "record every Nth arrival's full stage timeline for GET /trace (0 = disabled)")
-		ingestBatch = flag.Int("ingest-batch", 64, "NDJSON arrivals /ingest groups into one engine submission (1 = submit per line)")
-		flightDir   = flag.String("flight-dir", "", "directory for crash flight-recorder bundles — written on panic, SIGQUIT, or POST /debug/dump (empty = disabled)")
-		sloFile     = flag.String("slo-file", "", "file of SLO specs, one per line (#-comments and blanks skipped)")
-		sloEvery    = flag.Duration("slo-interval", 10*time.Second, "SLO evaluation period")
-		sloFast     = flag.Duration("slo-fast", 5*time.Minute, "fast burn-rate window (page-worthy: burn >= 1 here is a breach)")
-		sloSlow     = flag.Duration("slo-slow", time.Hour, "slow burn-rate window (budget tracking; burn >= 1 here is a warning)")
-	)
-	var sloSpecs []string
-	flag.Func("slo", "SLO objective spec, repeatable: name:family[{k=v,...}]:pQQ<duration (latency) or name:err_family/total_family<fraction (ratio)",
-		func(v string) error { sloSpecs = append(sloSpecs, v); return nil })
-	flag.Parse()
-	if err := (cliutil.Params{
-		Alpha: *alpha, Rho: *rho, W: *w, Streams: *streams, Shards: *shards,
-		Queue: *queue, Scale: *scale, Eta: *eta, Xi: 0.3, RateLimit: *rateLimit,
-	}).Validate(); err != nil {
+	cfg, err := parseConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		log.Fatal(err)
-	}
-	if err := (cliutil.Durability{
-		WALDir: *walDir, Follow: *follow, Restore: *restore,
-		CheckpointInterval: *ckptEvery, CheckpointKeep: *ckptKeep,
-		CheckpointDelta: *ckptDelta,
-	}).Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if *promoteLoss < 0 {
-		log.Fatal("-promote-on-writer-loss must be >= 0 (0 = manual promotion only)")
-	}
-	if *promoteLoss > 0 && *follow == "" {
-		log.Fatal("-promote-on-writer-loss requires -follow: only a follower replica can take over")
-	}
-	if err := (cliutil.Replay{Buffer: *replayCap, Depth: *replayDep}).Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if err := (cliutil.Obs{TraceSample: *traceEvery, DebugAddr: *debugAddr, Addr: *addr}).Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if *ingestBatch < 1 {
-		log.Fatal("-ingest-batch must be >= 1")
-	}
-	objectives := make([]obs.Objective, 0, len(sloSpecs))
-	for _, spec := range sloSpecs {
-		o, err := obs.ParseSLO(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		objectives = append(objectives, o)
-	}
-	if *sloFile != "" {
-		content, err := os.ReadFile(*sloFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fromFile, err := obs.ParseSLOFile(string(content))
-		if err != nil {
-			log.Fatalf("%s: %v", *sloFile, err)
-		}
-		objectives = append(objectives, fromFile...)
-	}
-	if len(objectives) > 0 && (*sloEvery <= 0 || *sloFast <= 0 || *sloSlow < *sloFast) {
-		log.Fatal("-slo-interval and -slo-fast must be positive, -slo-slow >= -slo-fast")
 	}
 
-	prof, err := dataset.ProfileByName(*name)
+	prof, err := dataset.ProfileByName(cfg.dataset)
 	if err != nil {
 		log.Fatal(err)
 	}
 	data, err := dataset.Generate(prof, dataset.Options{
-		Scale: *scale, RepoRatio: *eta, Seed: *seed,
+		Scale: cfg.scale, RepoRatio: cfg.eta, Seed: cfg.seed,
 		MissingRate: 0.3, MissingAttrs: 1,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	kws := data.Keywords
-	if *keywords != "" {
-		kws = strings.Split(*keywords, ",")
+	if cfg.keywords != "" {
+		kws = strings.Split(cfg.keywords, ",")
 	}
 	log.Printf("offline phase: dataset %s, repository %d tuples, keywords %v", prof.Name, data.Repo.Len(), kws)
 	sh, err := core.Prepare(data.Repo, core.DefaultPrepareConfig(kws))
@@ -269,73 +195,54 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// root is the durability directory: written with -wal-dir, tailed with
-	// -follow (the flags are exclusive).
-	root := *walDir
-	if root == "" {
-		root = *follow
-	}
+	// The checkpoint to boot from: -restore's file, or the newest snapshot
+	// under the durability root — the writer's own (-wal-dir), or the tailed
+	// writer's (-follow). It seeds both the engine and the replay ring's
+	// base; the WAL suffix past its watermark is replayed or tailed by open.
 	var ckpt *snapshot.Checkpoint
-	ckptPath := ""
-	if *restore != "" {
-		ckpt, err = snapshot.ReadFile(*restore)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ckptPath = *restore
-	} else if root != "" {
-		// Auto-recovery: the newest snapshot under the durability root seeds
-		// both the engine and the replay ring's base; the WAL suffix past its
-		// watermark is replayed below, before the listener starts. A follower
-		// boots from the tailed writer's root the same way, and tails the WAL
-		// past the watermark.
-		ckptPath, ckpt, err = engine.LatestCheckpoint(root)
-		if err != nil {
-			log.Fatal(err)
-		}
+	ckptPath := cfg.restore
+	if cfg.restore != "" {
+		ckpt, err = snapshot.ReadFile(cfg.restore)
+	} else if cfg.root() != "" {
+		ckptPath, ckpt, err = engine.LatestCheckpoint(cfg.root())
 	}
-	if ckpt != nil {
-		log.Printf("restoring %s: watermark %d, %d residents, %d live pairs (captured at K=%d)",
-			ckptPath, ckpt.Seq, len(ckpt.Residents), len(ckpt.Pairs), ckpt.Shards)
+	if err != nil {
+		log.Fatal(err)
 	}
-
 	ringBase := int64(0)
 	if ckpt != nil {
 		ringBase = ckpt.Seq
+		log.Printf("restoring %s: watermark %d, %d residents, %d live pairs (captured at K=%d)",
+			ckptPath, ckpt.Seq, len(ckpt.Residents), len(ckpt.Pairs), ckpt.Shards)
 	}
-	srv := newServer(sh, *replayCap, ringBase, *ckptDir)
-	srv.limiter = newRateLimiter(*rateLimit, *rateBurst)
-	srv.streams = *streams
-	srv.replayDepth = *replayDep
-	srv.ingestBatch = *ingestBatch
-	jr := obs.DefaultJournal()
+	srv := newServer(sh, cfg, ringBase)
 
 	// The flight recorder and its trigger paths (panic crash output, SIGQUIT)
 	// arm before the engine opens, so even a crash during recovery replay
-	// leaves a bundle behind. The Traces/Stats callbacks gate on readiness —
-	// the engine may not exist yet when a dump fires.
+	// leaves a bundle behind. The Traces/Stats callbacks gate on a serving
+	// phase — the engine may not exist yet when a dump fires.
 	flight := &obs.Flight{
-		Dir: *flightDir, Version: version,
-		Registry: obs.Default(), Journal: jr,
+		Dir: cfg.flightDir, Version: version,
+		Registry: srv.reg, Journal: srv.jr,
 		Traces: func() any {
-			if !srv.ready.Load() {
+			if !srv.currentPhase().serving() {
 				return nil
 			}
 			return srv.eng.Traces()
 		},
 		Stats: func() any {
-			if !srv.ready.Load() {
+			if !srv.currentPhase().serving() {
 				return nil
 			}
 			return srv.eng.Stats()
 		},
 	}
 	srv.flight = flight
-	if *flightDir != "" {
-		if err := os.MkdirAll(*flightDir, 0o755); err != nil {
+	if cfg.flightDir != "" {
+		if err := os.MkdirAll(cfg.flightDir, 0o755); err != nil {
 			log.Fatal(err)
 		}
-		crashFile, err := os.Create(filepath.Join(*flightDir, "crash.txt"))
+		crashFile, err := os.Create(filepath.Join(cfg.flightDir, "crash.txt"))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -359,18 +266,18 @@ func main() {
 
 	// Service-level objectives bind to metric families lazily, so the SLO
 	// engine can start before the engine registers them.
-	if len(objectives) > 0 {
-		srv.slo = obs.NewSLOEngine(obs.Default(), jr, objectives, *sloEvery, *sloFast, *sloSlow)
+	if len(cfg.objectives) > 0 {
+		srv.slo = obs.NewSLOEngine(srv.reg, srv.jr, cfg.objectives, cfg.sloInterval, cfg.sloFast, cfg.sloSlow)
 		srv.slo.Run()
 		log.Printf("slo: %d objectives, evaluated every %s over %s/%s windows",
-			srv.slo.Objectives(), *sloEvery, *sloFast, *sloSlow)
+			srv.slo.Objectives(), cfg.sloInterval, cfg.sloFast, cfg.sloSlow)
 	}
 
 	var debugSrv *http.Server
-	if *debugAddr != "" {
-		debugSrv = &http.Server{Addr: *debugAddr, Handler: debugMux(srv)}
+	if cfg.debugAddr != "" {
+		debugSrv = &http.Server{Addr: cfg.debugAddr, Handler: obs.DebugMux(srv.reg)}
 		go func() {
-			log.Printf("debug listener on %s (pprof, expvar, metrics)", *debugAddr)
+			log.Printf("debug listener on %s (pprof, expvar, metrics)", cfg.debugAddr)
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Fatal(err)
 			}
@@ -379,11 +286,12 @@ func main() {
 
 	// The listener comes up before the engine: probes, /metrics, /events,
 	// /slo, and /debug/dump answer during a long recovery replay, while
-	// engine-backed endpoints 503 with the startup phase until ready flips.
-	ln, err := net.Listen("tcp", *addr)
+	// engine-backed endpoints 503 with the phase until it is serving.
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		log.Fatal(err)
 	}
+	srv.addr = ln.Addr().String()
 	httpSrv := &http.Server{Handler: srv.routes()}
 	go func() {
 		log.Printf("listening on %s (engine starting)", ln.Addr())
@@ -392,124 +300,18 @@ func main() {
 		}
 	}()
 
-	engCfg := engine.Config{
-		Core: core.Config{
-			Keywords: kws, Gamma: *rho * float64(sh.Schema.D()), Alpha: *alpha,
-			WindowSize: *w, Streams: *streams,
-		},
-		Shards:      *shards,
-		QueueDepth:  *queue,
-		OnResult:    srv.onResult,
-		TraceSample: *traceEvery,
-	}
-	// One durability handle carries the directory from boot to Close: a
-	// follower's flips to writing on promotion (the -checkpoint-* flags arm
-	// its checkpointer then).
-	dcfg := engine.DurableConfig{
-		Dir: root, CheckpointInterval: *ckptEvery, KeepCheckpoints: *ckptKeep,
-		DeltaEvery: *ckptDelta,
-		Checkpoint: ckpt, CheckpointPath: ckptPath, Logf: log.Printf,
-	}
-	var eng *engine.Engine
-	var dur *engine.Durable
-	switch {
-	case *follow != "":
-		srv.readyReason.Store("catching up")
-		dur, err = engine.OpenFollower(sh, engCfg, dcfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		eng = dur.Eng
-		obs.Default().GaugeFunc("terids_follower_lag",
-			"Durable writer arrivals the follower's merged output still trails by.", nil,
-			func() float64 { return float64(dur.Lag()) })
-		log.Printf("follower: tailing %s from seq %d (writer alive: %v)",
-			*follow, dur.ResumeSeq(), dur.WriterAlive())
-	case *walDir != "":
-		srv.readyReason.Store("recovering")
-		recoverStart := time.Now()
-		dur, err = engine.OpenDurable(sh, engCfg, dcfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		eng = dur.Eng
-		jr.Record("recovery", "durable state recovered", map[string]any{
-			"wal_dir": *walDir, "checkpoint": ckptPath,
-			"resume_seq": dur.ResumeSeq(), "replayed": dur.Replayed(),
-			"duration_ms": float64(time.Since(recoverStart).Microseconds()) / 1000,
-		})
-		log.Printf("durable: wal at %s, resumed at seq %d (%d arrivals replayed)",
-			*walDir, dur.ResumeSeq(), dur.Replayed())
-	default:
-		eng, err = engine.NewFromSnapshot(sh, engCfg, ckpt) // nil ckpt: fresh engine
-	}
-	if err != nil {
+	if err := srv.open(sh, kws, ckptPath, ckpt); err != nil {
 		log.Fatal(err)
-	}
-	srv.promoteMu.Lock()
-	srv.eng, srv.dur = eng, dur
-	srv.promoteMu.Unlock()
-	obs.Default().Gauge("terids_build_info",
-		"Build and topology identity; the value is always 1.",
-		obs.Labels{
-			"version":    version,
-			"go_version": runtime.Version(),
-			"shards":     strconv.Itoa(eng.Stats().Shards),
-		}).Set(1)
-
-	if dur == nil || !dur.Following() {
-		// Recovery replay (if any) is done and the engine is attached: ready.
-		srv.readyReason.Store("")
-		srv.ready.Store(true)
-		jr.Record("serving", "listener ready for traffic", map[string]any{
-			"addr": ln.Addr().String(), "shards": eng.Stats().Shards,
-		})
-		log.Printf("serving on %s (%d shards, schema %v)", ln.Addr(), eng.Stats().Shards, sh.Schema.Attrs())
-	} else {
-		// A follower flips ready once its first tail pass drains — how long
-		// that takes depends on the writer, so a poller watches for it. A
-		// promotion that lands first flips ready itself and the poller exits.
-		log.Printf("serving reads on %s once caught up (%d shards, schema %v)",
-			ln.Addr(), eng.Stats().Shards, sh.Schema.Attrs())
-		go func() {
-			tick := time.NewTicker(25 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-srv.done:
-					return
-				case <-tick.C:
-				}
-				if srv.ready.Load() {
-					return // promoted before catching up; promote() flipped it
-				}
-				if dur.CaughtUp() {
-					srv.readyReason.Store("")
-					srv.ready.Store(true)
-					jr.Record("serving", "follower caught up to the writer frontier", map[string]any{
-						"addr": ln.Addr().String(), "applied_seq": eng.Completed(),
-					})
-					log.Printf("follower caught up at seq %d; serving reads on %s",
-						eng.Completed(), ln.Addr())
-					return
-				}
-			}
-		}()
-		if *promoteLoss > 0 {
-			go autoPromote(srv, *promoteLoss)
-		}
 	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	log.Print("shutting down")
-	srv.readyReason.Store("shutting down")
-	srv.ready.Store(false)
+	srv.shutdown()
 	if srv.slo != nil {
 		srv.slo.Stop()
 	}
-	close(srv.done)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_ = httpSrv.Shutdown(ctx)
@@ -520,67 +322,22 @@ func main() {
 	// checkpoint below captures a consistent final state. A writing handle
 	// also writes one last snapshot, making the next boot replay-free; a
 	// follower that was never promoted just stops tailing and drains.
-	if dur != nil {
-		if err := dur.Close(true); err != nil {
+	if srv.dur != nil {
+		if err := srv.dur.Close(true); err != nil {
 			log.Fatalf("durable shutdown: %v", err)
 		}
-	} else if err := eng.Close(); err != nil {
+	} else if err := srv.eng.Close(); err != nil {
 		log.Fatalf("engine: %v", err)
 	}
-	if *ckptOnExit != "" {
-		c, err := eng.Checkpoint()
+	if cfg.ckptOnExit != "" {
+		c, err := srv.eng.Checkpoint()
 		if err != nil {
 			log.Fatalf("final checkpoint: %v", err)
 		}
-		if err := snapshot.WriteFile(*ckptOnExit, c); err != nil {
+		if err := snapshot.WriteFile(cfg.ckptOnExit, c); err != nil {
 			log.Fatalf("final checkpoint: %v", err)
 		}
 		log.Printf("wrote final checkpoint %s (watermark %d, %d residents, %d live pairs)",
-			*ckptOnExit, c.Seq, len(c.Residents), len(c.Pairs))
-	}
-}
-
-// autoPromote watches the writer's liveness lock and promotes the follower
-// once the lock has been free for the configured grace period — the
-// automatic counterpart of POST /promote. A failed attempt (the writer came
-// back and re-took the lock, or the takeover itself errored) restarts the
-// grace clock and the replica keeps following.
-func autoPromote(srv *server, grace time.Duration) {
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-	var downSince time.Time
-	for {
-		select {
-		case <-srv.done:
-			return
-		case <-tick.C:
-		}
-		if !srv.dur.Following() {
-			return
-		}
-		if srv.dur.WriterAlive() {
-			downSince = time.Time{}
-			continue
-		}
-		if downSince.IsZero() {
-			downSince = time.Now()
-		}
-		if time.Since(downSince) < grace {
-			continue
-		}
-		srv.promoteMu.Lock()
-		var err error
-		if srv.dur.Following() {
-			err = srv.promote("writer-loss")
-		}
-		srv.promoteMu.Unlock()
-		if err != nil {
-			log.Printf("auto-promote: %v (still following)", err)
-			downSince = time.Time{}
-			continue
-		}
-		log.Printf("writer lock free for %s: promoted to writer at seq %d",
-			grace, srv.dur.ResumeSeq())
-		return
+			cfg.ckptOnExit, c.Seq, len(c.Residents), len(c.Pairs))
 	}
 }

@@ -26,8 +26,9 @@ import (
 // func tests can call early (cleanup tolerates both orders).
 func startObsServer(t *testing.T, f serveFixture, shards, traceSample int) (*server, *httptest.Server, func()) {
 	t.Helper()
-	srv := newServer(f.sh, 256, 0, t.TempDir())
-	srv.streams = f.cfg.Streams
+	cfg := serveConfig(t, 256)
+	cfg.ckptDir = t.TempDir()
+	srv := newServer(f.sh, cfg, 0)
 	eng, err := engine.New(f.sh, engine.Config{
 		Core:        f.cfg,
 		Shards:      shards,
@@ -38,16 +39,14 @@ func startObsServer(t *testing.T, f serveFixture, shards, traceSample int) (*ser
 		t.Fatal(err)
 	}
 	srv.eng = eng
-	srv.ready.Store(true)
+	srv.advance(phaseWriting)
 	ts := httptest.NewServer(srv.routes())
-	var once sync.Once
-	shut := func() { once.Do(func() { close(srv.done) }) }
 	t.Cleanup(func() {
-		shut()
+		srv.shutdown()
 		ts.Close()
 		_ = eng.Close()
 	})
-	return srv, ts, shut
+	return srv, ts, srv.shutdown
 }
 
 func get(t *testing.T, url string) (*http.Response, string) {
@@ -294,17 +293,17 @@ func TestServeTraceEndpoint(t *testing.T) {
 func TestServeHealthReadiness(t *testing.T) {
 	f := loadServeFixture(t)
 	srv, ts, shut := startObsServer(t, f, 1, 0)
-	srv.ready.Store(false) // rewind the helper: pre-attach startup state
+	srv.phase.Store(int32(phaseStarting)) // rewind the helper: pre-attach startup state
 
 	if resp, body := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("healthz before ready: %d %q, want 200 ok", resp.StatusCode, body)
 	}
-	// Readiness is withheld until main finishes recovery and flips the bit —
+	// Readiness is withheld until recovery finishes and the phase serves —
 	// liveness is not — and the 503 body names the phase.
 	if resp, body := get(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "starting") {
 		t.Fatalf("readyz before ready: %d %q, want 503 starting", resp.StatusCode, body)
 	}
-	srv.readyReason.Store("recovering")
+	srv.advance(phaseRecovering)
 	if resp, body := get(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "recovering") {
 		t.Fatalf("readyz while recovering: %d %q, want 503 recovering", resp.StatusCode, body)
 	}
@@ -313,12 +312,10 @@ func TestServeHealthReadiness(t *testing.T) {
 	if resp, body := get(t, ts.URL+"/stats"); resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "recovering") {
 		t.Fatalf("stats while recovering: %d %q, want 503 recovering", resp.StatusCode, body)
 	}
-	srv.readyReason.Store("")
-	srv.ready.Store(true)
+	srv.advance(phaseWriting)
 	if resp, body := get(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusOK || !strings.Contains(body, "ready") {
 		t.Fatalf("readyz after ready: %d %q, want 200 ready", resp.StatusCode, body)
 	}
-	srv.ready.Store(false)
 	shut()
 	if resp, _ := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz after shutdown: %d, want 503", resp.StatusCode)

@@ -2,82 +2,79 @@ package main
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"terids/internal/engine"
+	"terids/internal/obs"
 )
 
-func res(seq int64) engine.Result {
-	return engine.Result{Seq: seq, RID: fmt.Sprintf("r%d", seq)}
+// newResultRing is the /results replay ring as newServer builds it, filled
+// with results [base, base+n).
+func newResultRing(capacity int, base, n int64) *obs.Ring[engine.Result] {
+	r := obs.NewRing[engine.Result](capacity, base)
+	for seq := base; seq < base+n; seq++ {
+		r.Put(seq, engine.Result{Seq: seq, RID: fmt.Sprintf("r%d", seq)})
+	}
+	return r
 }
 
 func TestRingSinceEmpty(t *testing.T) {
-	r := newResultRing(4, 0)
-	out, gone, oldest := r.since(0)
-	if gone || len(out) != 0 || oldest != 0 {
-		t.Fatalf("empty ring: out=%v gone=%v oldest=%d", out, gone, oldest)
+	out, oldest := newResultRing(4, 0, 0).Since(0, ringChunk)
+	if len(out) != 0 || oldest != 0 {
+		t.Fatalf("empty ring: out=%v oldest=%d", out, oldest)
 	}
 }
 
 func TestRingRetainsTail(t *testing.T) {
-	r := newResultRing(4, 0)
-	for seq := int64(0); seq < 10; seq++ {
-		r.add(res(seq))
-	}
 	// Ring of 4 after 10 results retains [6, 10).
-	if out, gone, _ := r.since(6); gone || len(out) != 4 || out[0].Seq != 6 || out[3].Seq != 9 {
-		t.Fatalf("since(6): out=%v gone=%v", out, gone)
+	r := newResultRing(4, 0, 10)
+	if out, oldest := r.Since(6, ringChunk); oldest != 6 || len(out) != 4 || out[0].Seq != 6 || out[3].Seq != 9 {
+		t.Fatalf("Since(6): out=%v oldest=%d", out, oldest)
 	}
-	if out, gone, _ := r.since(8); gone || len(out) != 2 || out[0].Seq != 8 {
-		t.Fatalf("since(8): out=%v gone=%v", out, gone)
+	if out, _ := r.Since(8, ringChunk); len(out) != 2 || out[0].Seq != 8 {
+		t.Fatalf("Since(8): out=%v", out)
 	}
-	// Older than the tail: gone, reporting the oldest retained.
-	if _, gone, oldest := r.since(5); !gone || oldest != 6 {
-		t.Fatalf("since(5): gone=%v oldest=%d, want gone at 6", gone, oldest)
+	// Older than the tail: gone (cursor below oldest), reporting the oldest
+	// retained.
+	if _, oldest := r.Since(5, ringChunk); oldest != 6 {
+		t.Fatalf("Since(5): oldest=%d, want gone at 6", oldest)
 	}
 	// Future: nothing yet, not gone.
-	if out, gone, _ := r.since(10); gone || len(out) != 0 {
-		t.Fatalf("since(10): out=%v gone=%v", out, gone)
+	if out, oldest := r.Since(10, ringChunk); len(out) != 0 || oldest > 10 {
+		t.Fatalf("Since(10): out=%v oldest=%d", out, oldest)
 	}
 }
 
 // TestRingZeroCapacityClamped is the regression test for the startup panic:
 // a non-positive capacity used to make every add divide by zero in the
-// seq%len(buf) index. cliutil rejects the flag value; the ring itself clamps
-// as defense in depth.
+// seq%len(buf) index. parseConfig rejects the flag value; the ring itself
+// clamps as defense in depth.
 func TestRingZeroCapacityClamped(t *testing.T) {
 	for _, capacity := range []int{0, -4} {
-		r := newResultRing(capacity, 0)
-		r.add(res(0)) // panicked before the clamp
-		if out, gone, _ := r.since(0); gone || len(out) != 1 {
-			t.Fatalf("cap %d: since(0) = (%v, %v) after one add", capacity, out, gone)
+		r := newResultRing(capacity, 0, 1) // panicked before the clamp
+		if out, oldest := r.Since(0, ringChunk); oldest != 0 || len(out) != 1 {
+			t.Fatalf("cap %d: Since(0) = (%v, %d) after one put", capacity, out, oldest)
 		}
 	}
 }
 
-// TestRingSinceChunked is the contention regression test for the merger
-// stall: since must copy out at most ringChunk results per call (the lock is
-// held O(chunk), never O(backlog)), with callers looping from the advanced
-// cursor until they drain — in order, exactly once.
+// TestRingSinceChunked: Since copies out at most ringChunk results per call
+// (the lock is held O(chunk), never O(backlog)), with callers looping from
+// the advanced cursor until they drain — in order, exactly once.
 func TestRingSinceChunked(t *testing.T) {
 	const n = 4 * ringChunk
-	r := newResultRing(2*n, 0)
-	for seq := int64(0); seq < n; seq++ {
-		r.add(res(seq))
-	}
+	r := newResultRing(2*n, 0, n)
 	cursor, calls := int64(0), 0
 	for cursor < n {
-		out, gone, _ := r.since(cursor)
-		if gone {
-			t.Fatalf("since(%d) reported gone inside the retained window", cursor)
+		out, oldest := r.Since(cursor, ringChunk)
+		if cursor < oldest {
+			t.Fatalf("Since(%d) reported gone inside the retained window", cursor)
 		}
 		if len(out) == 0 {
-			t.Fatalf("since(%d) returned nothing with %d results still retained", cursor, n-cursor)
+			t.Fatalf("Since(%d) returned nothing with %d results still retained", cursor, n-cursor)
 		}
 		if len(out) > ringChunk {
-			t.Fatalf("since(%d) copied %d results under the lock, chunk bound is %d", cursor, len(out), ringChunk)
+			t.Fatalf("Since(%d) copied %d results under the lock, chunk bound is %d", cursor, len(out), ringChunk)
 		}
 		for i, res := range out {
 			if res.Seq != cursor+int64(i) {
@@ -92,64 +89,38 @@ func TestRingSinceChunked(t *testing.T) {
 	}
 }
 
-// TestRingAddNotStalledBySlowReader: adds (the merger's OnResult path) keep
-// flowing while slow readers crawl a large backlog chunk by chunk. Run under
-// -race in CI; the wall-clock bound is deliberately generous — the failure
-// mode it guards against is an add queued behind a full-backlog copy.
-func TestRingAddNotStalledBySlowReader(t *testing.T) {
+// TestRingBacklogDrainBounded is the contention contract behind the merger
+// stall: a slow /results reader crawling a full backlog never holds the ring
+// lock for more than one ringChunk copy, so the merger's Put is never queued
+// behind a full-backlog copy. Draining 65 536 results therefore takes
+// exactly ⌈backlog/ringChunk⌉ Since calls, each copying 1..ringChunk.
+func TestRingBacklogDrainBounded(t *testing.T) {
 	const backlog = 1 << 16
-	r := newResultRing(backlog, 0)
-	for seq := int64(0); seq < backlog; seq++ {
-		r.add(res(seq))
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cursor := int64(0)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				out, gone, oldest := r.since(cursor)
-				if gone {
-					cursor = oldest
-					continue
-				}
-				cursor += int64(len(out))
-				time.Sleep(time.Millisecond) // a slow client between chunks
-			}
-		}()
-	}
-	var worst time.Duration
-	for seq := int64(backlog); seq < backlog+2048; seq++ {
-		start := time.Now()
-		r.add(res(seq))
-		if d := time.Since(start); d > worst {
-			worst = d
+	r := newResultRing(backlog, 0, backlog)
+	cursor, calls := int64(0), 0
+	for cursor < backlog {
+		out, oldest := r.Since(cursor, ringChunk)
+		if cursor < oldest {
+			t.Fatalf("Since(%d) reported gone inside the retained window", cursor)
 		}
+		if len(out) == 0 || len(out) > ringChunk {
+			t.Fatalf("Since(%d) copied %d results under the lock, want 1..%d", cursor, len(out), ringChunk)
+		}
+		cursor += int64(len(out))
+		calls++
 	}
-	close(stop)
-	wg.Wait()
-	if worst > time.Second {
-		t.Fatalf("an add stalled %v behind readers; the ring lock is being held too long", worst)
+	if want := (backlog + ringChunk - 1) / ringChunk; calls != want {
+		t.Fatalf("backlog of %d drained in %d calls, want exactly %d", backlog, calls, want)
 	}
 }
 
 func TestRingBaseAfterRestore(t *testing.T) {
 	// A server restored at watermark 100 never saw results 0..99.
-	r := newResultRing(8, 100)
-	for seq := int64(100); seq < 103; seq++ {
-		r.add(res(seq))
+	r := newResultRing(8, 100, 3)
+	if _, oldest := r.Since(50, ringChunk); oldest != 100 {
+		t.Fatalf("pre-restore seqs must be gone: oldest=%d, want 100", oldest)
 	}
-	if _, gone, oldest := r.since(50); !gone || oldest != 100 {
-		t.Fatalf("pre-restore seqs must be gone: gone=%v oldest=%d", gone, oldest)
-	}
-	if out, gone, _ := r.since(100); gone || len(out) != 3 {
-		t.Fatalf("since(100): out=%v gone=%v", out, gone)
+	if out, _ := r.Since(100, ringChunk); len(out) != 3 {
+		t.Fatalf("Since(100): out=%v", out)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"terids/internal/cliutil"
 	"terids/internal/core"
 	"terids/internal/engine"
 	"terids/internal/obs"
@@ -27,43 +26,41 @@ import (
 // the server's single replay slot (see server.deepSem).
 const deepReplayWriteTimeout = 30 * time.Second
 
+// ringChunk bounds how many results one replay-ring read copies out under
+// the ring's lock. The merger's Put runs on the hot path (OnResult), so a
+// slow /results client draining a huge backlog must never pin the lock for
+// the whole backlog — readers loop from their advanced cursor, and each
+// read holds the lock O(ringChunk).
+const ringChunk = 256
+
 // server wires the engine into HTTP handlers, a live result broadcaster,
 // and the bounded replay ring behind /results?from=.
 type server struct {
+	cfg    config
 	eng    *engine.Engine
 	schema *tuple.Schema
-	ring   *resultRing
-	// ckptDir, when non-empty, is the only directory /snapshot?path= may
-	// write into; empty disables server-side checkpoint writes entirely
-	// (the endpoint is unauthenticated, so it must never take an arbitrary
-	// client-chosen filesystem path).
-	ckptDir string
-	// done is closed on shutdown so idle /results streams exit instead of
-	// pinning http.Server.Shutdown to its deadline.
-	done chan struct{}
+	// ring is the bounded replay buffer behind /results?from=: the last
+	// -replay-buffer merged results, keyed by merge sequence.
+	ring *obs.Ring[engine.Result]
+	// addr is the listener's address, for log lines and journal events.
+	addr string
+	// done is closed on shutdown so idle /results streams and the follower
+	// loop exit instead of pinning http.Server.Shutdown to its deadline;
+	// loops tracks the follower loop so shutdown can wait for it.
+	done  chan struct{}
+	loops sync.WaitGroup
 	// limiter, when non-nil, enforces the per-stream ingest rate (-rate-limit).
 	limiter *rateLimiter
-	// streams bounds client-supplied stream ids up front (0 = unchecked
-	// here, the engine still validates). The limiter keys a bucket per
-	// stream id, so on this unauthenticated endpoint ids must be validated
-	// BEFORE the limiter — otherwise random ids grow its map without bound.
-	streams int
 	// dur, when non-nil, is the durability handle: a writer's (-wal-dir), or
 	// a follower's (-follow) until promotion flips it to writing. It carries
 	// the role, its health shows up in /stats, and /results?from= cursors
 	// below the ring are served by WAL-backed deep replay on either role
-	// instead of a 410. Set with s.eng, before ready.
+	// instead of a 410. Set with s.eng, before the phase starts serving.
 	dur *engine.Durable
 	// promoteMu serializes promotion attempts (manual POST /promote racing
-	// the writer-loss auto-promoter). /promote is not readiness-gated, so
-	// main also sets s.eng and s.dur under it.
+	// the follower loop's writer-loss promotion). /promote is not gated on
+	// the phase, so open also attaches s.eng and s.dur under it.
 	promoteMu sync.Mutex
-	// replayDepth bounds how many arrivals one deep replay may re-run
-	// (-replay-depth; 0 = unlimited).
-	replayDepth int64
-	// ingestBatch is how many decoded NDJSON arrivals /ingest groups into one
-	// engine.SubmitBatch (-ingest-batch; 1 = submit per line).
-	ingestBatch int
 	// interner shares tokenizations across ingested records — stream values
 	// repeat heavily, so this removes most per-record tokenize cost.
 	interner *tuple.Interner
@@ -73,19 +70,17 @@ type server struct {
 	deepSem chan struct{}
 
 	// reg is the metrics registry /metrics renders; started feeds
-	// uptime_seconds; ready flips once the engine is attached and serving
-	// (readyz) and back off at shutdown. The listener starts before the
-	// engine exists, so every engine-backed handler is gated on ready: the
-	// store of s.eng happens before ready.Store(true), and handlers only
-	// touch s.eng after observing ready — that atomic pair is the
-	// happens-before edge making the late attach race-free.
+	// uptime_seconds. phase holds the lifecycle phase (lifecycle.go), moved
+	// only by advance. The listener starts before the engine exists, so
+	// every engine-backed handler is gated on a serving phase: the store of
+	// s.eng happens before the phase advances to one, and handlers only
+	// touch s.eng after observing it — that atomic pair is the
+	// happens-before edge making the late attach race-free. onPhase, when
+	// set, observes every transition.
 	reg     *obs.Registry
 	started time.Time
-	ready   atomic.Bool
-	// readyReason names the startup phase /readyz (and gated endpoints)
-	// report while ready is false: "starting", then "recovering" during WAL
-	// replay. Holds a string.
-	readyReason atomic.Value
+	phase   atomic.Int32
+	onPhase func(phase)
 
 	// jr is the lifecycle event journal behind GET /events; slo, when
 	// non-nil, serves GET /slo; flight, when non-nil and configured with a
@@ -106,23 +101,24 @@ type server struct {
 	rateLimited atomic.Int64
 }
 
-// newServer builds the server shell; the engine is attached afterwards
-// (its OnResult must point at s.onResult, which needs s to exist first).
-func newServer(sh *core.Shared, ringCap int, ringBase int64, ckptDir string) *server {
+// newServer builds the server shell over a validated config, its replay
+// ring starting at ringBase; the engine is attached afterwards by open (its
+// OnResult must point at s.onResult, which needs s to exist first).
+func newServer(sh *core.Shared, cfg config, ringBase int64) *server {
 	s := &server{
+		cfg:          cfg,
 		schema:       sh.Schema,
-		ring:         newResultRing(ringCap, ringBase),
-		ckptDir:      ckptDir,
+		ring:         obs.NewRing[engine.Result](cfg.replayBuffer, ringBase),
 		done:         make(chan struct{}),
+		limiter:      newRateLimiter(cfg.rateLimit, cfg.rateBurst),
 		deepSem:      make(chan struct{}, 1),
 		reg:          obs.Default(),
 		started:      time.Now(),
-		ingestBatch:  1,
 		interner:     tuple.NewInterner(0),
 		jr:           obs.DefaultJournal(),
 		throttleLast: make(map[int]time.Time),
+		subs:         make(map[chan engine.Result]struct{}),
 	}
-	s.readyReason.Store("starting")
 	s.reg.GaugeFunc("terids_uptime_seconds", "Seconds since this process started serving.", nil,
 		func() float64 { return time.Since(s.started).Seconds() })
 	s.reg.GaugeFunc("terids_token_dict_size", "Distinct tokens in the process-wide token dictionary (append-only).", nil,
@@ -132,23 +128,15 @@ func newServer(sh *core.Shared, ringCap int, ringBase int64, ckptDir string) *se
 	return s
 }
 
-// notReadyReason is the body a gated endpoint or /readyz returns while the
-// server is not ready to take traffic.
-func (s *server) notReadyReason() string {
-	if r, ok := s.readyReason.Load().(string); ok && r != "" {
-		return r
-	}
-	return "starting"
-}
-
-// requireEngine gates an engine-backed handler on readiness: the listener
-// comes up before the engine exists (so probes and diagnostics answer during
-// a long recovery replay), and traffic gets a 503 naming the startup phase
-// until main attaches the engine and flips ready.
+// requireEngine gates an engine-backed handler on a serving phase: the
+// listener comes up before the engine exists (so probes and diagnostics
+// answer during a long recovery replay), and traffic gets a 503 naming the
+// phase until open attaches the engine and the phase starts serving, and
+// again once shutdown begins.
 func (s *server) requireEngine(h http.HandlerFunc) http.HandlerFunc {
 	return func(rw http.ResponseWriter, req *http.Request) {
-		if !s.ready.Load() {
-			http.Error(rw, s.notReadyReason(), http.StatusServiceUnavailable)
+		if p := s.currentPhase(); !p.serving() {
+			http.Error(rw, p.String(), http.StatusServiceUnavailable)
 			return
 		}
 		h(rw, req)
@@ -166,9 +154,9 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /snapshot", s.requireEngine(s.handleSnapshot))
 	mux.HandleFunc("POST /rebalance", s.requireEngine(s.handleRebalance))
 	mux.HandleFunc("GET /trace", s.requireEngine(s.handleTrace))
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", s.reg)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	mux.HandleFunc("GET /readyz", s.requireEngine(s.handleReadyz))
 	mux.HandleFunc("GET /events", s.handleEvents)
 	mux.HandleFunc("GET /slo", s.handleSLO)
 	mux.HandleFunc("POST /debug/dump", s.handleDump)
@@ -182,7 +170,7 @@ func (s *server) routes() *http.ServeMux {
 // refuseOnFollower guards a write endpoint: a follower replica is read-only
 // until promoted. Returns true when the 503 was written.
 func (s *server) refuseOnFollower(rw http.ResponseWriter) bool {
-	if s.dur == nil || !s.dur.Following() {
+	if s.currentPhase() != phaseFollowing {
 		return false
 	}
 	http.Error(rw, "follower: read-only replica (POST /promote to take over)",
@@ -202,45 +190,23 @@ func (s *server) handlePromote(rw http.ResponseWriter, _ *http.Request) {
 	if s.dur != nil {
 		st, replica = s.dur.FollowerStats()
 	}
-	switch {
-	case !replica:
+	if !replica {
 		http.Error(rw, "not a follower replica (started without -follow)", http.StatusConflict)
 		return
-	case st.Promoted:
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(map[string]any{
-			"promoted": true, "already": true, "resume_seq": s.dur.ResumeSeq(),
-		})
-		return
 	}
-	if err := s.promote("http"); err != nil {
-		if errors.Is(err, wal.ErrLocked) {
-			http.Error(rw, fmt.Sprintf("writer still alive: %v", err), http.StatusConflict)
-			return
-		}
+	reply := map[string]any{"promoted": true}
+	if st.Promoted {
+		reply["already"] = true
+	} else if err := s.promote("http"); errors.Is(err, wal.ErrLocked) {
+		http.Error(rw, fmt.Sprintf("writer still alive: %v", err), http.StatusConflict)
+		return
+	} else if err != nil {
 		http.Error(rw, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	reply["resume_seq"] = s.dur.ResumeSeq()
 	rw.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(rw).Encode(map[string]any{
-		"promoted": true, "resume_seq": s.dur.ResumeSeq(),
-	})
-}
-
-// promote flips the follower handle to writing, under promoteMu (held by
-// the caller). A promoted replica is ready by construction: Promote returns
-// only after every durable arrival ran through the pipeline, so the replica
-// IS the frontier now.
-func (s *server) promote(trigger string) error {
-	if err := s.dur.Promote(); err != nil {
-		return err
-	}
-	s.readyReason.Store("")
-	s.ready.Store(true)
-	s.jr.Record("promote", "follower took over as writer", map[string]any{
-		"trigger": trigger, "resume_seq": s.dur.ResumeSeq(),
-	})
-	return nil
+	_ = json.NewEncoder(rw).Encode(reply)
 }
 
 // handleEvents serves the lifecycle event journal as NDJSON, oldest first.
@@ -295,13 +261,6 @@ func (s *server) handleDump(rw http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(rw).Encode(map[string]any{"path": path})
 }
 
-// handleMetrics serves the process-wide registry in the Prometheus text
-// exposition format.
-func (s *server) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
-	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WritePrometheus(rw)
-}
-
 // handleTrace serves the sampled arrival timelines (oldest first) as NDJSON.
 // Empty unless the server runs with -trace-sample.
 func (s *server) handleTrace(rw http.ResponseWriter, _ *http.Request) {
@@ -319,41 +278,29 @@ func (s *server) handleTrace(rw http.ResponseWriter, _ *http.Request) {
 // recovery replay is alive, just not ready), 503 once the pipeline has
 // failed or the server is shutting down.
 func (s *server) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
-	select {
-	case <-s.done:
-		http.Error(rw, "shutting down", http.StatusServiceUnavailable)
-		return
-	default:
-	}
-	if !s.ready.Load() {
-		// Still starting: the engine may not be attached yet, so it must not
-		// be touched — and a slow recovery is not a liveness failure.
-		rw.WriteHeader(http.StatusOK)
-		fmt.Fprintln(rw, "ok")
+	p := s.currentPhase()
+	if p == phaseShuttingDown {
+		http.Error(rw, p.String(), http.StatusServiceUnavailable)
 		return
 	}
-	if err := s.eng.Err(); err != nil {
-		http.Error(rw, fmt.Sprintf("pipeline failed: %v", err), http.StatusServiceUnavailable)
-		return
+	// While starting, the engine may not be attached yet, so it must not be
+	// touched — and a slow recovery is not a liveness failure.
+	if p.serving() {
+		if err := s.eng.Err(); err != nil {
+			http.Error(rw, fmt.Sprintf("pipeline failed: %v", err), http.StatusServiceUnavailable)
+			return
+		}
 	}
 	rw.WriteHeader(http.StatusOK)
 	fmt.Fprintln(rw, "ok")
 }
 
-// handleReadyz reports readiness to take traffic: recovery replay finished,
-// engine attached and healthy, no rebalance pause in progress, not shutting
-// down. The 503 body names why ("starting", "recovering", "rebalancing").
+// handleReadyz reports readiness to take traffic: behind requireEngine, a
+// serving phase (recovery replay or follower catch-up finished, engine
+// attached, not shutting down), then a healthy pipeline and no rebalance
+// pause in progress. The 503 body names why ("starting", "recovering",
+// "catching up", "rebalancing", "shutting down").
 func (s *server) handleReadyz(rw http.ResponseWriter, _ *http.Request) {
-	select {
-	case <-s.done:
-		http.Error(rw, "shutting down", http.StatusServiceUnavailable)
-		return
-	default:
-	}
-	if !s.ready.Load() {
-		http.Error(rw, s.notReadyReason(), http.StatusServiceUnavailable)
-		return
-	}
 	if s.eng.Rebalancing() {
 		http.Error(rw, "rebalancing", http.StatusServiceUnavailable)
 		return
@@ -401,7 +348,7 @@ func toLine(res engine.Result) resultLine {
 // out to live subscribers — the order /results?from= relies on to splice
 // ring and live stream without a gap.
 func (s *server) onResult(res engine.Result) {
-	s.ring.add(res)
+	s.ring.Put(res.Seq, res)
 	s.broadcast(res)
 }
 
@@ -422,9 +369,6 @@ func (s *server) broadcast(res engine.Result) {
 func (s *server) subscribe() chan engine.Result {
 	ch := make(chan engine.Result, 256)
 	s.mu.Lock()
-	if s.subs == nil {
-		s.subs = make(map[chan engine.Result]struct{})
-	}
 	s.subs[ch] = struct{}{}
 	s.mu.Unlock()
 	return ch
@@ -437,7 +381,7 @@ func (s *server) unsubscribe(ch chan engine.Result) {
 }
 
 // handleIngest parses NDJSON arrivals and submits them in request order,
-// grouped into batches of s.ingestBatch records per engine submission
+// grouped into batches of cfg.ingestBatch records per engine submission
 // (-ingest-batch; 1 = the old submit-per-line behavior). A batch is accepted
 // or rejected atomically; "accepted" in the reply counts only submitted
 // records, so after an error the client resumes from accepted+1.
@@ -460,11 +404,7 @@ func (s *server) handleIngest(rw http.ResponseWriter, req *http.Request) {
 			"accepted": accepted, "line": lineNo, "error": msg,
 		})
 	}
-	batchCap := s.ingestBatch
-	if batchCap < 1 {
-		batchCap = 1
-	}
-	batch := make([]*tuple.Record, 0, batchCap)
+	batch := make([]*tuple.Record, 0, s.cfg.ingestBatch)
 	batchStart := 0 // request line of the batch's first record
 	flush := func() (status int, msg string) {
 		if len(batch) == 0 {
@@ -513,8 +453,11 @@ func (s *server) handleIngest(rw http.ResponseWriter, req *http.Request) {
 			fail(http.StatusBadRequest, fmt.Sprintf("line %d: missing rid", lineNo))
 			return
 		}
-		if a.Stream < 0 || (s.streams > 0 && a.Stream >= s.streams) {
-			fail(http.StatusBadRequest, fmt.Sprintf("line %d: stream %d outside [0,%d)", lineNo, a.Stream, s.streams))
+		// Stream ids are bounded before the limiter: it keys a bucket per
+		// id, so on this unauthenticated endpoint random ids would otherwise
+		// grow its map without bound.
+		if a.Stream < 0 || a.Stream >= s.cfg.streams {
+			fail(http.StatusBadRequest, fmt.Sprintf("line %d: stream %d outside [0,%d)", lineNo, a.Stream, s.cfg.streams))
 			return
 		}
 		if ok, wait := s.limiter.allow(a.Stream); !ok {
@@ -540,7 +483,7 @@ func (s *server) handleIngest(rw http.ResponseWriter, req *http.Request) {
 			batchStart = lineNo
 		}
 		batch = append(batch, rec)
-		if len(batch) >= batchCap {
+		if len(batch) >= s.cfg.ingestBatch {
 			if st, msg := flush(); st != 0 {
 				reply(st, msg)
 				return
@@ -635,8 +578,8 @@ func (s *server) handleResults(rw http.ResponseWriter, req *http.Request) {
 		cursor := from
 		started := false
 		for {
-			past, gone, oldest := s.ring.since(cursor)
-			if gone {
+			past, oldest := s.ring.Since(cursor, ringChunk)
+			if cursor < oldest {
 				prev := cursor
 				ok := s.deepReplay(rw, req, fl, enc, &cursor, &started, oldest)
 				if !ok {
@@ -764,7 +707,7 @@ func (s *server) deepReplay(rw http.ResponseWriter, req *http.Request, fl http.F
 
 	start := *cursor
 	joined, failed := false, false
-	err := dur.DeepReplay(req.Context(), start, ringOldest, s.replayDepth, func(res engine.Result) bool {
+	err := dur.DeepReplay(req.Context(), start, ringOldest, s.cfg.replayDepth, func(res engine.Result) bool {
 		if joined || failed {
 			return false
 		}
@@ -781,7 +724,7 @@ func (s *server) deepReplay(rw http.ResponseWriter, req *http.Request, fl http.F
 		*cursor = res.Seq + 1
 		// Splice point: once the next sequence is inside the live ring, the
 		// ring loop takes over — cheaper than regenerating what memory holds.
-		if oldestNow, _, _ := s.ring.status(); *cursor >= oldestNow {
+		if oldestNow, _ := s.ring.Window(); *cursor >= oldestNow {
 			joined = true
 			return false
 		}
@@ -870,8 +813,8 @@ func (s *server) handleRebalance(rw http.ResponseWriter, req *http.Request) {
 	k := before.Shards
 	if q := req.URL.Query().Get("shards"); q != "" {
 		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 || v > cliutil.MaxShards {
-			http.Error(rw, fmt.Sprintf("bad shards=%q: integer in [1,%d] required", q, cliutil.MaxShards),
+		if err != nil || v < 1 || v > engine.MaxShards {
+			http.Error(rw, fmt.Sprintf("bad shards=%q: integer in [1,%d] required", q, engine.MaxShards),
 				http.StatusBadRequest)
 			return
 		}
@@ -897,7 +840,7 @@ func (s *server) handleRebalance(rw http.ResponseWriter, req *http.Request) {
 // checkpointPath resolves a client-supplied checkpoint name inside the
 // configured checkpoint directory, rejecting anything that would escape it.
 func (s *server) checkpointPath(name string) (string, error) {
-	if s.ckptDir == "" {
+	if s.cfg.ckptDir == "" {
 		return "", errors.New("server-side checkpoint writes disabled (start with -checkpoint-dir)")
 	}
 	if filepath.IsAbs(name) {
@@ -907,7 +850,7 @@ func (s *server) checkpointPath(name string) (string, error) {
 	if clean == ".." || strings.HasPrefix(clean, ".."+string(filepath.Separator)) {
 		return "", errors.New("checkpoint path escapes the checkpoint directory")
 	}
-	return filepath.Join(s.ckptDir, clean), nil
+	return filepath.Join(s.cfg.ckptDir, clean), nil
 }
 
 // handleStats reports aggregated engine stats plus server-side counters,
@@ -919,20 +862,15 @@ func (s *server) handleStats(rw http.ResponseWriter, _ *http.Request) {
 	nSubs := len(s.subs)
 	s.mu.Unlock()
 	topic, simUB, probUB, instPair, total := st.Totals.Prune.Power()
-	oldest, next, retained := s.ring.status()
+	oldest, next := s.ring.Window()
 	replayStats := map[string]any{
 		"oldest_retained": s.replayReach(oldest),
 		"ring_oldest":     oldest,
 		"next_seq":        next,
-		"retained":        retained,
+		"retained":        int(next - oldest),
 		// Always present so scrapers get a stable schema; non-zero only with
 		// -wal-dir or -follow, which deep replay requires.
 		"deep_replays": int64(0),
-	}
-	var durStats engine.DurabilityStats
-	if s.dur != nil {
-		durStats = s.dur.Stats()
-		replayStats["deep_replays"] = durStats.DeepReplays
 	}
 	payload := map[string]any{
 		"engine": st,
@@ -956,6 +894,8 @@ func (s *server) handleStats(rw http.ResponseWriter, _ *http.Request) {
 		"uptime_seconds":  time.Since(s.started).Seconds(),
 	}
 	if s.dur != nil {
+		durStats := s.dur.Stats()
+		replayStats["deep_replays"] = durStats.DeepReplays
 		if !s.dur.Following() {
 			payload["durability"] = durStats
 		}

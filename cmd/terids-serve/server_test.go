@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -77,6 +78,20 @@ func loadServeFixture(t *testing.T) serveFixture {
 	return serveFix
 }
 
+// serveConfig is the server config the tests run with: the defaults, the
+// fixture's operator parameters, a ringCap-result replay ring, and ingest
+// submitting per line.
+func serveConfig(t *testing.T, ringCap int) config {
+	t.Helper()
+	cfg, err := parseConfig([]string{
+		"-alpha=0.4", "-w=50", "-ingest-batch=1", "-replay-buffer=" + strconv.Itoa(ringCap),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 // startServer builds a server + engine pair (optionally from a checkpoint)
 // and registers cleanup.
 func startServer(t *testing.T, f serveFixture, shards, ringCap int, ckpt *snapshot.Checkpoint) (*server, *httptest.Server) {
@@ -85,8 +100,9 @@ func startServer(t *testing.T, f serveFixture, shards, ringCap int, ckpt *snapsh
 	if ckpt != nil {
 		ringBase = ckpt.Seq
 	}
-	srv := newServer(f.sh, ringCap, ringBase, t.TempDir())
-	srv.streams = f.cfg.Streams
+	scfg := serveConfig(t, ringCap)
+	scfg.ckptDir = t.TempDir()
+	srv := newServer(f.sh, scfg, ringBase)
 	cfg := engine.Config{Core: f.cfg, Shards: shards, OnResult: srv.onResult}
 	var eng *engine.Engine
 	var err error
@@ -99,10 +115,10 @@ func startServer(t *testing.T, f serveFixture, shards, ringCap int, ckpt *snapsh
 		t.Fatal(err)
 	}
 	srv.eng = eng
-	srv.ready.Store(true)
+	srv.advance(phaseWriting)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(func() {
-		close(srv.done)
+		srv.shutdown()
 		ts.Close()
 		_ = eng.Close()
 	})
@@ -299,8 +315,8 @@ func TestServeSnapshotToPath(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || meta.Seq != 40 {
 		t.Fatalf("snapshot?path: status %d meta %+v", resp.StatusCode, meta)
 	}
-	if meta.Path != srv.ckptDir+"/ckpt.bin" {
-		t.Fatalf("checkpoint landed at %s, want inside %s", meta.Path, srv.ckptDir)
+	if meta.Path != srv.cfg.ckptDir+"/ckpt.bin" {
+		t.Fatalf("checkpoint landed at %s, want inside %s", meta.Path, srv.cfg.ckptDir)
 	}
 	c, err := snapshot.ReadFile(meta.Path)
 	if err != nil {
@@ -322,7 +338,7 @@ func TestServeSnapshotToPath(t *testing.T) {
 			t.Fatalf("snapshot?path=%s: status %d, want 403", bad, resp.StatusCode)
 		}
 	}
-	srv.ckptDir = ""
+	srv.cfg.ckptDir = ""
 	resp2, err := http.Post(ts.URL+"/snapshot?path=ckpt.bin", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -450,8 +466,7 @@ func startDurableServer(t *testing.T, f serveFixture, shards, ringCap int, dir s
 	if ckpt != nil {
 		ringBase = ckpt.Seq
 	}
-	srv := newServer(f.sh, ringCap, ringBase, "")
-	srv.streams = f.cfg.Streams
+	srv := newServer(f.sh, serveConfig(t, ringCap), ringBase)
 	dcfg.Dir = dir
 	dcfg.Checkpoint = ckpt
 	dcfg.CheckpointPath = path
@@ -463,7 +478,7 @@ func startDurableServer(t *testing.T, f serveFixture, shards, ringCap int, dir s
 	}
 	srv.eng = dur.Eng
 	srv.dur = dur
-	srv.ready.Store(true)
+	srv.advance(phaseWriting)
 	return srv, dur, httptest.NewServer(srv.routes())
 }
 
@@ -513,7 +528,7 @@ func TestServeDurableRestart(t *testing.T) {
 	ingest(t, ts1, f.stream[40:100])
 	// The "crash": stop serving without a final checkpoint, so sequences
 	// [40, 100) exist only in the WAL.
-	close(srv1.done)
+	srv1.shutdown()
 	ts1.Close()
 	if err := dur1.Close(false); err != nil {
 		t.Fatal(err)
@@ -521,7 +536,7 @@ func TestServeDurableRestart(t *testing.T) {
 
 	srv2, dur2, ts2 := startDurableServer(t, f, 4, 4096, dir, engine.DurableConfig{})
 	defer func() {
-		close(srv2.done)
+		srv2.shutdown()
 		ts2.Close()
 		_ = dur2.Close(false)
 	}()
@@ -688,7 +703,7 @@ func TestServeCrashRestartRingRebuild(t *testing.T) {
 	// clone, which never saw a graceful close.
 	crashDir := t.TempDir()
 	testutil.CopyTree(t, dir, crashDir)
-	close(srv1.done)
+	srv1.shutdown()
 	ts1.Close()
 	if err := dur1.Close(false); err != nil {
 		t.Fatal(err)
@@ -698,7 +713,7 @@ func TestServeCrashRestartRingRebuild(t *testing.T) {
 	// every earlier cursor exercises deep replay.
 	srv2, dur2, ts2 := startDurableServer(t, f, 4, 16, crashDir, engine.DurableConfig{})
 	defer func() {
-		close(srv2.done)
+		srv2.shutdown()
 		ts2.Close()
 		_ = dur2.Close(false)
 	}()
@@ -758,7 +773,7 @@ func TestServeDeepReplayDepthAndPrunedCoverage(t *testing.T) {
 	srv, dur, ts := startDurableServer(t, f, 2, 8, dir,
 		engine.DurableConfig{SegmentBytes: 512, KeepCheckpoints: 1})
 	defer func() {
-		close(srv.done)
+		srv.shutdown()
 		ts.Close()
 		_ = dur.Close(false)
 	}()
@@ -807,7 +822,7 @@ func TestServeDeepReplayDepthAndPrunedCoverage(t *testing.T) {
 
 	// Depth bound: a 3-arrival budget cannot regenerate the 12-arrival gap
 	// to the ring's tail (112).
-	srv.replayDepth = 3
+	srv.cfg.replayDepth = 3
 	resp2, err := http.Get(ts.URL + "/results?from=100")
 	if err != nil {
 		t.Fatal(err)
@@ -818,12 +833,12 @@ func TestServeDeepReplayDepthAndPrunedCoverage(t *testing.T) {
 	}
 	// The gate measures to the splice point, not the WAL frontier: 15 covers
 	// the 12-arrival gap to the ring even though the frontier is 20 away.
-	srv.replayDepth = 15
+	srv.cfg.replayDepth = 15
 	tail := readResults(t, ts, "?from=100", 20)
 	if tail[0].Seq != 100 || tail[19].Seq != 119 {
 		t.Fatalf("in-depth replay spans [%d,%d], want [100,119]", tail[0].Seq, tail[19].Seq)
 	}
-	srv.replayDepth = 0
+	srv.cfg.replayDepth = 0
 }
 
 // TestServeRebalanceEndpoint drives the admin reshard over HTTP: shard
@@ -976,13 +991,13 @@ func TestServeIngestBatched(t *testing.T) {
 	}
 
 	single, tsSingle := startServer(t, f, 2, 256, nil)
-	if single.ingestBatch != 1 {
-		t.Fatalf("newServer defaults ingestBatch=%d, want 1", single.ingestBatch)
+	if single.cfg.ingestBatch != 1 {
+		t.Fatalf("serveConfig sets ingestBatch=%d, want 1", single.cfg.ingestBatch)
 	}
 	ingest(t, tsSingle, f.stream[:n])
 
 	batched, tsBatched := startServer(t, f, 2, 256, nil)
-	batched.ingestBatch = 7 // uneven vs. n: exercises the trailing partial flush
+	batched.cfg.ingestBatch = 7 // uneven vs. n: exercises the trailing partial flush
 	ingest(t, tsBatched, f.stream[:n])
 
 	want := readResults(t, tsSingle, "?from=0", n)

@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -33,7 +34,6 @@ import (
 	"strings"
 	"time"
 
-	"terids/internal/cliutil"
 	"terids/internal/core"
 	"terids/internal/dataset"
 	"terids/internal/engine"
@@ -58,7 +58,7 @@ func main() {
 		scale     = flag.Float64("scale", 1.0, "dataset scale factor")
 		seed      = flag.Int64("seed", 1, "generation seed")
 		max       = flag.Int("max", 0, "max arrivals to process (0 = all)")
-		shards    = flag.Int("shards", 1, "ER-grid shards (>1 runs the concurrent engine, 0 = the engine auto-sizes)")
+		shards    = flag.Int("shards", 1, fmt.Sprintf("ER-grid shards (>1 runs the concurrent engine, up to %d; 0 = the engine auto-sizes, capped at 8)", engine.MaxShards))
 		keywords  = flag.String("keywords", "", "comma-separated query keywords (default: the profile's topics)")
 		verbose   = flag.Bool("v", false, "print every matching pair as it is found")
 		ckptOut   = flag.String("checkpoint", "", "write the final operator state to this file when the stream ends")
@@ -70,39 +70,29 @@ func main() {
 		batch     = flag.Int("batch", 64, "arrivals submitted per engine batch when -shards > 1 (1 = submit one at a time)")
 	)
 	flag.Parse()
-	if err := (cliutil.Params{
-		Alpha: *alpha, Rho: *rho, W: *w, Streams: 2, Shards: *shards,
-		Queue: 1, Scale: *scale, Eta: *eta, Xi: *xi,
-	}).Validate(); err != nil {
+	prof, err := dataset.ProfileByName(*name)
+	if err != nil {
 		log.Fatal(err)
 	}
-	if err := (cliutil.Durability{
-		WALDir: *walDir, Restore: *restore,
-		CheckpointInterval: *ckptEvery, CheckpointKeep: 2,
-	}).Validate(); err != nil {
-		log.Fatal(err)
+	// The operator parameters are checked by core.Config.Validate, which
+	// owns their ranges, before any data is generated.
+	d := len(prof.Attrs)
+	cfg := core.Config{Gamma: *rho * float64(d), Alpha: *alpha, WindowSize: *w, Streams: 2}
+	coreErr := cfg.Validate(d)
+	if coreErr != nil {
+		coreErr = fmt.Errorf("-alpha %v -rho %v -w %d: %w", *alpha, *rho, *w, coreErr)
 	}
-	if err := (cliutil.Obs{DebugAddr: *debugAddr}).Validate(); err != nil {
+	if err := errors.Join(coreErr, checkFlags(*scale, *eta, *xi, *shards, *walDir, *restore, *ckptEvery)); err != nil {
 		log.Fatal(err)
 	}
 	if *debugAddr != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
-			rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			obs.Default().WritePrometheus(rw)
-		})
-		registerPprof(mux)
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, mux); err != nil {
+			if err := http.ListenAndServe(*debugAddr, obs.DebugMux(obs.Default())); err != nil {
 				log.Printf("debug listener: %v", err)
 			}
 		}()
 	}
 
-	prof, err := dataset.ProfileByName(*name)
-	if err != nil {
-		log.Fatal(err)
-	}
 	data, err := dataset.Generate(prof, dataset.Options{
 		Scale: *scale, MissingRate: *xi, MissingAttrs: *m, RepoRatio: *eta, Seed: *seed,
 	})
@@ -125,11 +115,7 @@ func main() {
 	fmt.Printf("offline phase: %d rules, pivots %v, indexes built in %v\n",
 		sh.Rules.Len(), pivotCounts(sh), time.Since(start).Round(time.Millisecond))
 
-	gamma := *rho * float64(data.Schema.D())
-	cfg := core.Config{
-		Keywords: kws, Gamma: gamma, Alpha: *alpha,
-		WindowSize: *w, Streams: 2,
-	}
+	cfg.Keywords = kws
 
 	stream := data.Stream
 	if *max > 0 && len(stream) > *max {
@@ -141,40 +127,35 @@ func main() {
 	// the recovered checkpoint's watermark and the log frontier); the summary
 	// counts them as processed.
 	var replayRecs []*tuple.Record
+	// The checkpoint to resume from: -restore's file, or the newest one
+	// under -wal (whose WAL suffix OpenDurable replays below).
+	ckptPath := *restore
 	if *restore != "" {
 		ckpt, err = snapshot.ReadFile(*restore)
-		if err != nil {
-			log.Fatal(err)
-		}
+	} else if *walDir != "" {
+		ckptPath, ckpt, err = engine.LatestCheckpoint(*walDir)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	if ckpt != nil {
 		if ckpt.Seq > int64(len(stream)) {
 			log.Fatalf("checkpoint watermark %d beyond the %d-arrival stream (same -dataset/-seed/-scale flags regenerate it)",
 				ckpt.Seq, len(stream))
 		}
-		fmt.Printf("restored %s: watermark %d, %d residents, %d live pairs — resuming at arrival %d\n",
-			*restore, ckpt.Seq, len(ckpt.Residents), len(ckpt.Pairs), ckpt.Seq)
+		if *restore != "" {
+			fmt.Printf("restored %s: watermark %d, %d residents, %d live pairs — resuming at arrival %d\n",
+				ckptPath, ckpt.Seq, len(ckpt.Residents), len(ckpt.Pairs), ckpt.Seq)
+			stream = stream[ckpt.Seq:]
+		} else {
+			fmt.Printf("recovering %s: watermark %d, %d residents, %d live pairs\n",
+				ckptPath, ckpt.Seq, len(ckpt.Residents), len(ckpt.Pairs))
+		}
 		// The summary below only sees the resumed suffix; carry the
 		// checkpoint's live pairs into the emitted set so it stays coherent.
 		for _, pr := range ckpt.Pairs {
 			emitted[metrics.Key(ckpt.Residents[pr.A].RID, ckpt.Residents[pr.B].RID)] = true
 		}
-		stream = stream[ckpt.Seq:]
-	} else if *walDir != "" {
-		path, c, err := engine.LatestCheckpoint(*walDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if c != nil {
-			if c.Seq > int64(len(stream)) {
-				log.Fatalf("checkpoint watermark %d beyond the %d-arrival stream (same -dataset/-seed/-scale flags regenerate it)",
-					c.Seq, len(stream))
-			}
-			fmt.Printf("recovering %s: watermark %d, %d residents, %d live pairs\n",
-				path, c.Seq, len(c.Residents), len(c.Pairs))
-			for _, pr := range c.Pairs {
-				emitted[metrics.Key(c.Residents[pr.A].RID, c.Residents[pr.B].RID)] = true
-			}
-		}
-		ckpt = c
 	}
 	var (
 		liveLen   int
@@ -317,7 +298,7 @@ func main() {
 
 	// Ground truth restricted to the processed prefix (plus, on a resumed
 	// run, the restored residents).
-	truth := data.TruthPairs(*w, gamma)
+	truth := data.TruthPairs(*w, cfg.Gamma)
 	seen := map[string]bool{}
 	for _, r := range stream {
 		seen[r.RID] = true
@@ -368,4 +349,35 @@ func pivotCounts(sh *core.Shared) []int {
 		out[i] = sh.Sel.PerAttr[i].NumPivots()
 	}
 	return out
+}
+
+// checkFlags checks the flags core.Config.Validate does not own, joining
+// every violation. A WAL directory carries its own checkpoints and
+// auto-recovers, so an explicit -restore alongside it is ambiguous, and the
+// background checkpointer has nowhere to write without one.
+func checkFlags(scale, eta, xi float64, shards int, walDir, restore string, ckptEvery time.Duration) error {
+	var errs []error
+	bad := func(format string, a ...any) { errs = append(errs, fmt.Errorf(format, a...)) }
+	if scale <= 0 {
+		bad("-scale %v, need > 0", scale)
+	}
+	if eta <= 0 || eta > 1 {
+		bad("-eta %v outside (0, 1]", eta)
+	}
+	if xi < 0 || xi > 1 {
+		bad("-xi %v outside [0, 1]", xi)
+	}
+	if shards < 0 || shards > engine.MaxShards {
+		bad("-shards %d outside [0, %d] (0 = auto)", shards, engine.MaxShards)
+	}
+	if walDir != "" && restore != "" {
+		bad("-restore and -wal are mutually exclusive: the WAL directory auto-recovers from its own newest checkpoint")
+	}
+	if ckptEvery < 0 {
+		bad("-checkpoint-interval %v, need >= 0 (0 = only the final checkpoint)", ckptEvery)
+	}
+	if ckptEvery > 0 && walDir == "" {
+		bad("-checkpoint-interval requires -wal: periodic checkpoints are written under it")
+	}
+	return errors.Join(errs...)
 }

@@ -1,25 +1,11 @@
 package main
 
 import (
-	"expvar"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
 	"time"
 
 	"terids/internal/obs"
 )
-
-// registerPprof wires net/http/pprof and expvar onto the -debug-addr mux
-// explicitly, keeping them off http.DefaultServeMux.
-func registerPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
-}
 
 // printStageLatencies prints the per-stage latency quantiles the engine
 // published during the run — the wall-clock attribution the summed cost

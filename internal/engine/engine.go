@@ -332,7 +332,7 @@ func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engi
 	if !cfg.ObsOff {
 		e.met = newEngineMetrics(cfg.registry())
 		if cfg.TraceSample > 0 {
-			e.traces = obs.NewRing[Trace](traceRingCap)
+			e.traces = obs.NewRing[Trace](traceRingCap, 0)
 		}
 		e.jr = cfg.Journal
 		if e.jr == nil {

@@ -176,5 +176,5 @@ func (e *Engine) completeTrace(p *pending, pairs int) {
 	//lint:ignore nodeterm trace timing; traces never touch emitted bytes
 	tr.TotalNs = int64(time.Since(tr.start))
 	tr.Pairs = pairs
-	e.traces.Add(*tr)
+	e.traces.Append(func(int64) Trace { return *tr })
 }

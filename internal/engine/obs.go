@@ -123,5 +123,6 @@ func (e *Engine) Traces() []Trace {
 	if e.traces == nil {
 		return nil
 	}
-	return e.traces.Snapshot()
+	traces, _ := e.traces.Since(0, traceRingCap)
+	return traces
 }

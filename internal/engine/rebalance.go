@@ -21,17 +21,18 @@ import (
 	"terids/internal/snapshot"
 )
 
-// maxAdoptShards bounds the shard count an auto-sizing restore (Shards == 0)
-// or a follower will adopt from a checkpoint. Checkpoints are CRC-checked,
-// not authenticated: a tampered Shards field must not be able to make
-// recovery spawn an arbitrary number of goroutines and grids. Mirrors
-// cliutil.MaxShards, the cap every flag path enforces.
-const maxAdoptShards = 64
+// MaxShards bounds the shard count: beyond it the per-arrival broadcast
+// fan-out dominates any parallelism win. Reshard refuses more, every -shards
+// flag is checked against it, and an auto-sizing restore (Shards == 0) or a
+// follower adopts no more from a checkpoint — checkpoints are CRC-checked,
+// not authenticated, so a tampered Shards field must not be able to make
+// recovery spawn an arbitrary number of goroutines and grids.
+const MaxShards = 64
 
 // checkpointShards is the shard count checkpoint c asks a restore to adopt,
 // or 0 when it carries none within the adoption cap.
 func checkpointShards(c *snapshot.Checkpoint) int {
-	if c == nil || c.Shards < 1 || c.Shards > maxAdoptShards {
+	if c == nil || c.Shards < 1 || c.Shards > MaxShards {
 		return 0
 	}
 	return c.Shards
@@ -90,8 +91,8 @@ func imbalanceOf(shards []*shard) float64 {
 // It must not be called from OnResult (like Checkpoint, it waits for the
 // merger to drain).
 func (e *Engine) Reshard(k int) (err error) {
-	if k < 1 {
-		return fmt.Errorf("engine: reshard to %d shards, need >= 1", k)
+	if k < 1 || k > MaxShards {
+		return fmt.Errorf("engine: reshard to %d shards, need [1, %d]", k, MaxShards)
 	}
 	//lint:ignore nodeterm pause-duration metric; never touches emitted bytes
 	start := time.Now()

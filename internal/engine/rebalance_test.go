@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -325,8 +326,8 @@ func TestAdoptionCapsShardCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	if got := e2.Stats().Shards; got > maxAdoptShards {
-		t.Fatalf("restore adopted K=%d from a tampered checkpoint, cap is %d", got, maxAdoptShards)
+	if got := e2.Stats().Shards; got > MaxShards {
+		t.Fatalf("restore adopted K=%d from a tampered checkpoint, cap is %d", got, MaxShards)
 	}
 }
 
@@ -345,6 +346,41 @@ func TestRebalanceClosedAndInvalid(t *testing.T) {
 	}
 	if err := eng.Reshard(2); err != ErrClosed {
 		t.Fatalf("reshard after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestReshardRefusesOverMaxShards: the shard cap is the engine's own, not
+// only its HTTP front end's — Reshard(MaxShards+1) is refused before the
+// barrier, and the engine's state, layout and reshard counters are exactly
+// what they were.
+func TestReshardRefusesOverMaxShards(t *testing.T) {
+	f := loadFixture(t)
+	eng, err := New(f.sh, Config{Core: f.cfg, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, r := range f.stream[:40] {
+		if err := eng.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := eng.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Reshard(MaxShards + 1); err == nil {
+		t.Fatalf("reshard to %d shards accepted, cap is %d", MaxShards+1, MaxShards)
+	}
+	after, err := eng.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatal("refused reshard changed the engine state")
+	}
+	if st := eng.Stats(); st.Shards != 2 || st.Rebalance != (RebalanceStats{}) {
+		t.Fatalf("refused reshard left Shards=%d rebalance=%+v, want 2 and zero", st.Shards, st.Rebalance)
 	}
 }
 

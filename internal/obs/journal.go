@@ -18,7 +18,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync"
+	"math"
 	"time"
 )
 
@@ -42,10 +42,7 @@ type Event struct {
 // record into (no-op), so instrumentation can be switched off by leaving
 // the pointer nil.
 type Journal struct {
-	mu   sync.Mutex
-	buf  []Event
-	n    int64 // total events ever recorded == next sequence number
-	next int   // next write position
+	ring *Ring[Event]
 }
 
 // defaultJournalCap bounds the process-wide journal: lifecycle events are
@@ -56,10 +53,7 @@ const defaultJournalCap = 1024
 // NewJournal builds a journal retaining the newest capacity events
 // (minimum 1).
 func NewJournal(capacity int) *Journal {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Journal{buf: make([]Event, capacity)}
+	return &Journal{ring: NewRing[Event](capacity, 0)}
 }
 
 var defaultJournal = NewJournal(defaultJournalCap)
@@ -75,11 +69,9 @@ func (j *Journal) Record(typ, msg string, fields map[string]any) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	j.buf[j.next] = Event{Seq: j.n, Time: time.Now(), Type: typ, Msg: msg, Fields: fields}
-	j.next = (j.next + 1) % len(j.buf)
-	j.n++
-	j.mu.Unlock()
+	j.ring.Append(func(seq int64) Event {
+		return Event{Seq: seq, Time: time.Now(), Type: typ, Msg: msg, Fields: fields}
+	})
 }
 
 // NextSeq returns the sequence number the next recorded event will get.
@@ -87,9 +79,8 @@ func (j *Journal) NextSeq() int64 {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
+	_, next := j.ring.Window()
+	return next
 }
 
 // OldestSeq returns the sequence number of the oldest event still
@@ -100,13 +91,8 @@ func (j *Journal) OldestSeq() int64 {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	retained := j.n
-	if retained > int64(len(j.buf)) {
-		retained = int64(len(j.buf))
-	}
-	return j.n - retained
+	oldest, _ := j.ring.Window()
+	return oldest
 }
 
 // Snapshot returns every retained event, oldest first.
@@ -121,29 +107,8 @@ func (j *Journal) Since(from int64) []Event {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	retained := j.n
-	if retained > int64(len(j.buf)) {
-		retained = int64(len(j.buf))
-	}
-	oldest := j.n - retained
-	if from < oldest {
-		from = oldest
-	}
-	if from >= j.n {
-		return nil
-	}
-	out := make([]Event, 0, j.n-from)
-	// Index of the event with sequence s is next - (n - s) mod len.
-	for s := from; s < j.n; s++ {
-		idx := (j.next - int(j.n-s)) % len(j.buf)
-		if idx < 0 {
-			idx += len(j.buf)
-		}
-		out = append(out, j.buf[idx])
-	}
-	return out
+	evs, _ := j.ring.Since(from, math.MaxInt)
+	return evs
 }
 
 // WriteNDJSON streams the retained events with sequence >= from to w, one

@@ -291,40 +291,7 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // Quantile extracts quantile q in (0,1] from the bucket counts, linearly
 // interpolated within the winning bucket, in raw units. Zero observations
 // yield zero.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = float64(uint64(1) << (histMinShift + i - 1))
-			}
-			hi := bucketBound(i)
-			if math.IsInf(hi, 1) {
-				// Open-ended overflow bucket: report its lower bound.
-				return lo
-			}
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + frac*(hi-lo)
-		}
-		cum += n
-	}
-	return bucketBound(histBuckets - 2) // unreachable in practice
-}
+func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
 func (h *Histogram) labelStr() string { return h.lbl }
 

@@ -293,22 +293,36 @@ func TestBucketBounds(t *testing.T) {
 }
 
 func TestRing(t *testing.T) {
-	r := NewRing[int](3)
-	if got := r.Snapshot(); len(got) != 0 {
+	r := NewRing[int](3, 0)
+	all := func() string {
+		out, _ := r.Since(0, 10)
+		return fmt.Sprint(out)
+	}
+	if got, _ := r.Since(0, 10); len(got) != 0 {
 		t.Fatalf("empty ring snapshot = %v", got)
 	}
-	r.Add(1)
-	r.Add(2)
-	if got := fmt.Sprint(r.Snapshot()); got != "[1 2]" {
+	for v := 1; v <= 2; v++ {
+		r.Append(func(int64) int { return v })
+	}
+	if got := all(); got != "[1 2]" {
 		t.Fatalf("partial ring = %s", got)
 	}
-	r.Add(3)
-	r.Add(4) // overwrites 1
-	r.Add(5) // overwrites 2
-	if got := fmt.Sprint(r.Snapshot()); got != "[3 4 5]" {
+	r.Append(func(int64) int { return 3 })
+	r.Append(func(int64) int { return 4 }) // overwrites 1
+	r.Append(func(int64) int { return 5 }) // overwrites 2
+	if got := all(); got != "[3 4 5]" {
 		t.Fatalf("wrapped ring = %s, want [3 4 5]", got)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d", r.Len())
+	if oldest, next := r.Window(); oldest != 2 || next != 5 {
+		t.Fatalf("Window = [%d, %d), want [2, 5)", oldest, next)
+	}
+	// A sequence jump restarts the window: the pre-jump entries never
+	// covered [5, 9), so they must not be served as if they did.
+	r.Put(9, 10)
+	if oldest, next := r.Window(); oldest != 9 || next != 10 {
+		t.Fatalf("Window after jump = [%d, %d), want [9, 10)", oldest, next)
+	}
+	if got, oldest := r.Since(3, 10); fmt.Sprint(got) != "[10]" || oldest != 9 {
+		t.Fatalf("Since(3) after jump = %v (oldest %d), want [10] at 9", got, oldest)
 	}
 }

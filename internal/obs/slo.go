@@ -294,9 +294,7 @@ type sloSample struct {
 // sloTracker carries one objective's snapshot ring and current verdict.
 type sloTracker struct {
 	obj     Objective
-	samples []sloSample // ring
-	n       int         // samples recorded (saturates at len)
-	next    int
+	samples *Ring[sloSample]
 	state   SLOState
 
 	burnFast, burnSlow, stateG, currentG, budgetG *Gauge
@@ -366,7 +364,7 @@ func NewSLOEngine(reg *Registry, journal *Journal, objectives []Objective, inter
 		lbl := Labels{"slo": obj.Name}
 		t := &sloTracker{
 			obj:      obj,
-			samples:  make([]sloSample, ringCap),
+			samples:  NewRing[sloSample](ringCap, 0),
 			burnFast: reg.Gauge("terids_slo_burn_rate", "SLO error-budget burn rate per window.", Labels{"slo": obj.Name, "window": "fast"}),
 			burnSlow: reg.Gauge("terids_slo_burn_rate", "SLO error-budget burn rate per window.", Labels{"slo": obj.Name, "window": "slow"}),
 			stateG:   reg.Gauge("terids_slo_state", "SLO state: 0 ok, 1 warn, 2 breach.", lbl),
@@ -436,14 +434,11 @@ func (e *SLOEngine) tickOne(t *sloTracker, now time.Time) {
 			s.resolved = true
 		}
 	}
-	t.samples[t.next] = s
-	t.next = (t.next + 1) % len(t.samples)
-	if t.n < len(t.samples) {
-		t.n++
-	}
+	t.samples.Append(func(int64) sloSample { return s })
+	samples, _ := t.samples.Since(0, math.MaxInt)
 
-	current, burnFast := t.evalWindow(now, e.fast)
-	_, burnSlow := t.evalWindow(now, e.slow)
+	current, burnFast := t.evalWindow(samples, now, e.fast)
+	_, burnSlow := t.evalWindow(samples, now, e.slow)
 
 	t.burnFast.Set(burnFast)
 	t.burnSlow.Set(burnSlow)
@@ -483,13 +478,14 @@ func (e *SLOEngine) tickOne(t *sloTracker, now time.Time) {
 }
 
 // evalWindow computes (current observation, burn rate) over the trailing
-// window ending at the newest sample. With fewer samples than the window
-// spans, the oldest available sample is the baseline (partial window).
-func (t *sloTracker) evalWindow(now time.Time, window time.Duration) (current, burn float64) {
-	if t.n == 0 {
+// window ending at the newest of samples (oldest first). With fewer samples
+// than the window spans, the oldest available sample is the baseline
+// (partial window).
+func (t *sloTracker) evalWindow(samples []sloSample, now time.Time, window time.Duration) (current, burn float64) {
+	if len(samples) == 0 {
 		return 0, 0
 	}
-	newest := t.samples[(t.next-1+len(t.samples))%len(t.samples)]
+	newest := samples[len(samples)-1]
 	if !newest.resolved {
 		return 0, 0
 	}
@@ -497,8 +493,8 @@ func (t *sloTracker) evalWindow(now time.Time, window time.Duration) (current, b
 	cutoff := now.Add(-window)
 	var base sloSample
 	found := false
-	for i := 1; i <= t.n; i++ {
-		s := t.samples[(t.next-i+len(t.samples))%len(t.samples)]
+	for i := len(samples) - 1; i >= 0; i-- {
+		s := samples[i]
 		if !s.resolved {
 			continue
 		}

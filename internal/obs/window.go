@@ -31,12 +31,15 @@ type HistSnapshot struct {
 // Snapshot copies the histogram's current state. Buckets are read without
 // a global lock, so a snapshot taken during concurrent Observe calls may
 // be off by the in-flight observations — irrelevant at window granularity.
+// Count is read first: Observe bumps the bucket before the count, so the
+// buckets read afterwards always cover Count and a quantile's rank is
+// always reached.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
+	s.Count = h.count.Load()
 	for i := 0; i < histBuckets; i++ {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	s.Scale = h.scale
 	return s
@@ -62,8 +65,8 @@ func (s HistSnapshot) Sub(old HistSnapshot) HistSnapshot {
 }
 
 // Quantile extracts quantile q in (0,1] in raw units, linearly
-// interpolated within the winning bucket — the snapshot analogue of
-// Histogram.Quantile. Zero observations yield zero.
+// interpolated within the winning bucket (Histogram.Quantile is this over a
+// fresh snapshot). Zero observations yield zero.
 func (s HistSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
@@ -82,6 +85,7 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 			}
 			hi := bucketBound(i)
 			if math.IsInf(hi, 1) {
+				// Open-ended overflow bucket: report its lower bound.
 				return lo
 			}
 			frac := (rank - float64(cum)) / float64(n)
