@@ -4,8 +4,9 @@
 // out as they are detected.
 //
 // The offline state (repository, rules, indexes) is bootstrapped from one of
-// the built-in synthetic dataset profiles; the online phase then accepts
-// arbitrary tuples over that profile's schema.
+// the built-in synthetic dataset profiles, of which only the repository R is
+// drawn; the online phase then accepts arbitrary tuples over that profile's
+// schema.
 //
 // Endpoints:
 //
@@ -57,7 +58,7 @@
 //	                the old writer still holds the liveness lock.
 //
 // The server reads one validated config (every flag range is checked before
-// any data is generated) and moves through one lifecycle phase, forward
+// R is drawn) and moves through one lifecycle phase, forward
 // only: a writer goes starting → recovering (with -wal-dir) → writing; a
 // follower goes starting → catching up → following → writing, the last
 // step being promotion, which may also come straight from catching up; any
@@ -174,23 +175,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	prof, err := dataset.ProfileByName(cfg.dataset)
-	if err != nil {
-		log.Fatal(err)
-	}
-	data, err := dataset.Generate(prof, dataset.Options{
-		Scale: cfg.scale, RepoRatio: cfg.eta, Seed: cfg.seed,
-		MissingRate: 0.3, MissingAttrs: 1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	kws := data.Keywords
-	if cfg.keywords != "" {
-		kws = strings.Split(cfg.keywords, ",")
-	}
-	log.Printf("offline phase: dataset %s, repository %d tuples, keywords %v", prof.Name, data.Repo.Len(), kws)
-	sh, err := core.Prepare(data.Repo, core.DefaultPrepareConfig(kws))
+	sh, kws, err := offline(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -340,4 +325,43 @@ func main() {
 		log.Printf("wrote final checkpoint %s (watermark %d, %d residents, %d live pairs)",
 			cfg.ckptOnExit, c.Seq, len(c.Residents), len(c.Pairs))
 	}
+}
+
+// offline draws the repository R of the -dataset profile and runs
+// Algorithm 1's offline phase over it, with the profile's topics as the
+// keyword set K unless -keywords overrides them. R is all that phase reads,
+// so no arrival stream is generated. Where the time went (draw, pivot
+// selection, rule detection, index build) goes to the log and to the
+// journal as an "offline" event.
+func offline(cfg config) (*core.Shared, []string, error) {
+	prof, err := dataset.ProfileByName(cfg.dataset)
+	if err != nil {
+		return nil, nil, err
+	}
+	start := time.Now()
+	repo, err := dataset.GenerateRepo(prof, dataset.Options{
+		Scale: cfg.scale, RepoRatio: cfg.eta, Seed: cfg.seed,
+		MissingRate: 0.3, MissingAttrs: 1,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	drawTime := time.Since(start)
+	kws := append([]string(nil), prof.Topics...)
+	if cfg.keywords != "" {
+		kws = strings.Split(cfg.keywords, ",")
+	}
+	sh, err := core.Prepare(repo, core.DefaultPrepareConfig(kws))
+	if err != nil {
+		return nil, nil, err
+	}
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	log.Printf("offline phase: dataset %s, repository %d tuples, keywords %v; draw %.1f ms, pivot %.1f ms, detect %.1f ms, index %.1f ms",
+		prof.Name, repo.Len(), kws, ms(drawTime), ms(sh.PivotTime), ms(sh.DetectTime), ms(sh.IndexTime))
+	obs.DefaultJournal().Record("offline", "offline phase done", map[string]any{
+		"dataset": prof.Name, "repository": repo.Len(),
+		"draw_ms": ms(drawTime), "pivot_ms": ms(sh.PivotTime),
+		"detect_ms": ms(sh.DetectTime), "index_ms": ms(sh.IndexTime),
+	})
+	return sh, kws, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"terids/internal/dataset"
 	"terids/internal/pivot"
+	"terids/internal/repository"
 	"terids/internal/rules"
 )
 
@@ -124,29 +125,41 @@ func TestOfflinePhaseGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := dataset.Generate(prof, dataset.Options{
+			opt := dataset.Options{
 				Scale: g.scale, RepoRatio: g.eta, MissingRate: 0.3, MissingAttrs: 1, Seed: g.seed,
-			})
+			}
+			data, err := dataset.Generate(prof, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh, err := Prepare(data.Repo, DefaultPrepareConfig(data.Keywords))
+			// A server boots from the repository-only draw: it must reach
+			// the same pivots and rules as the full dataset's R.
+			repo, err := dataset.GenerateRepo(prof, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(sh.Sel.PerAttr) != len(g.pivots) {
-				t.Fatalf("%d attributes, want %d", len(sh.Sel.PerAttr), len(g.pivots))
-			}
-			for x, ap := range sh.Sel.PerAttr {
-				if !slices.Equal(ap.Texts, g.pivots[x]) {
-					t.Errorf("|R| = %d, attribute %d: pivots %q", data.Repo.Len(), x, ap.Texts)
+			for _, r := range []struct {
+				draw string
+				repo *repository.Repository
+			}{{"Generate", data.Repo}, {"GenerateRepo", repo}} {
+				sh, err := Prepare(r.repo, DefaultPrepareConfig(data.Keywords))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if got := ruleDigest(sh.Rules); got != g.rules {
-				t.Errorf("%d banded rules hash to %s, want %s", sh.Rules.Len(), got, g.rules)
-			}
-			if got := ruleDigest(sh.DDRules); got != g.ddRules {
-				t.Errorf("%d cumulative rules hash to %s, want %s", sh.DDRules.Len(), got, g.ddRules)
+				if len(sh.Sel.PerAttr) != len(g.pivots) {
+					t.Fatalf("%s: %d attributes, want %d", r.draw, len(sh.Sel.PerAttr), len(g.pivots))
+				}
+				for x, ap := range sh.Sel.PerAttr {
+					if !slices.Equal(ap.Texts, g.pivots[x]) {
+						t.Errorf("%s: |R| = %d, attribute %d: pivots %q", r.draw, r.repo.Len(), x, ap.Texts)
+					}
+				}
+				if got := ruleDigest(sh.Rules); got != g.rules {
+					t.Errorf("%s: %d banded rules hash to %s, want %s", r.draw, sh.Rules.Len(), got, g.rules)
+				}
+				if got := ruleDigest(sh.DDRules); got != g.ddRules {
+					t.Errorf("%s: %d cumulative rules hash to %s, want %s", r.draw, sh.DDRules.Len(), got, g.ddRules)
+				}
 			}
 		})
 	}

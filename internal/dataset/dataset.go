@@ -160,6 +160,28 @@ type Data struct {
 
 // Generate builds a dataset instance.
 func Generate(p Profile, opt Options) (*Data, error) {
+	return draw(p, opt, true)
+}
+
+// GenerateRepo draws only the repository R of Generate(p, opt), sample for
+// sample: it makes the same rng calls in the same order, but builds no
+// stream record. R is all the offline phase reads, so a server boots from
+// this rather than from Generate.
+func GenerateRepo(p Profile, opt Options) (*repository.Repository, error) {
+	data, err := draw(p, opt, false)
+	if err != nil {
+		return nil, err
+	}
+	return data.Repo, nil
+}
+
+// draw is the one definition of the generator's rng sequence: the
+// vocabulary and entities, each stream tuple's entity, perturbation and
+// missing-attribute draws, the arrival shuffle, then R's samples. R's draws
+// come after the stream's, so they depend on every stream draw; without
+// keepStream those draws are made and discarded, and Data.Stream and
+// Data.Complete stay nil.
+func draw(p Profile, opt Options, keepStream bool) (*Data, error) {
 	opt.fill()
 	schema, err := tuple.NewSchema(p.Attrs...)
 	if err != nil {
@@ -174,7 +196,9 @@ func Generate(p Profile, opt Options) (*Data, error) {
 		Profile:  p,
 		Schema:   schema,
 		Keywords: append([]string(nil), p.Topics...),
-		Complete: make(map[string]*tuple.Record),
+	}
+	if keepStream {
+		data.Complete = make(map[string]*tuple.Record)
 	}
 
 	// Streams: each source samples entities (with replacement beyond the
@@ -182,25 +206,33 @@ func Generate(p Profile, opt Options) (*Data, error) {
 	nA := scale(p.SourceA, opt.Scale)
 	nB := scale(p.SourceB, opt.Scale)
 	var all []*tuple.Record
+	var toks [][]string
 	seq := int64(0)
-	mk := func(stream int, n int, tag string) {
+	for stream, n := range []int{nA, nB} {
+		tag := [...]string{"a", "b"}[stream]
 		for i := 0; i < n; i++ {
 			ent := g.pickEntity()
-			rid := fmt.Sprintf("%s%s%05d", p.Name[:1], tag, i)
-			complete := g.copyOf(ent, schema, rid, stream, seq)
-			corrupted := g.corrupt(complete, rid, stream, seq)
-			data.Complete[rid] = complete
-			all = append(all, corrupted)
+			toks = g.perturb(ent, toks)
+			lost := g.missing()
+			if keepStream {
+				rid := fmt.Sprintf("%s%s%05d", p.Name[:1], tag, i)
+				complete := g.copyOf(ent, toks, rid, stream, seq)
+				data.Complete[rid] = complete
+				all = append(all, g.corrupt(complete, lost))
+			}
 			seq++
 		}
 	}
-	mk(0, nA, "a")
-	mk(1, nB, "b")
 	// Interleave by shuffling arrival order, then reassign Seq in order.
-	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	// The shuffle's draws depend only on the stream length, not on swap.
+	swap := func(i, j int) {}
+	if keepStream {
+		swap = func(i, j int) { all[i], all[j] = all[j], all[i] }
+	}
+	rng.Shuffle(nA+nB, swap)
 	for i, r := range all {
-		reSeq(r, int64(i))
-		reSeq(data.Complete[r.RID], int64(i))
+		r.Seq = int64(i)
+		data.Complete[r.RID].Seq = int64(i)
 	}
 	data.Stream = all
 
@@ -209,11 +241,12 @@ func Generate(p Profile, opt Options) (*Data, error) {
 	if nRepo < 4 {
 		nRepo = 4
 	}
-	var samples []*tuple.Record
+	samples := make([]*tuple.Record, 0, nRepo)
 	for i := 0; i < nRepo; i++ {
 		ent := g.pickEntity()
+		toks = g.perturb(ent, toks)
 		rid := fmt.Sprintf("%sr%05d", p.Name[:1], i)
-		samples = append(samples, g.copyOf(ent, schema, rid, 0, 0))
+		samples = append(samples, g.copyOf(ent, toks, rid, 0, 0))
 	}
 	repo, err := repository.Build(schema, samples)
 	if err != nil {
@@ -229,12 +262,6 @@ func scale(n int, s float64) int {
 		out = 2
 	}
 	return out
-}
-
-// reSeq rebuilds a record with a new sequence number (records are otherwise
-// immutable).
-func reSeq(r *tuple.Record, seq int64) {
-	r.Seq = seq
 }
 
 type generator struct {
@@ -312,50 +339,68 @@ func (g *generator) pickEntity() int {
 	return g.zipfIndex(len(g.entities))
 }
 
-// copyOf materializes a perturbed complete copy of entity ent.
-func (g *generator) copyOf(ent int, schema *tuple.Schema, rid string, stream int, seq int64) *tuple.Record {
-	vals := make([]string, len(g.p.Attrs))
+// perturb draws a perturbed copy of entity ent: out[x] becomes attribute
+// x's tokens. out is reused across calls; the copy is at least one token
+// per attribute.
+func (g *generator) perturb(ent int, out [][]string) [][]string {
+	if out == nil {
+		out = make([][]string, len(g.p.Attrs))
+	}
 	for x := range g.p.Attrs {
 		toks := g.entities[ent][x]
-		out := make([]string, 0, len(toks))
+		cp := out[x][:0]
 		for _, tok := range toks {
 			switch {
 			case g.rng.Float64() < g.p.PerturbRate/2:
 				// Drop the token.
 			case g.rng.Float64() < g.p.PerturbRate:
-				out = append(out, g.vocab[x][g.rng.Intn(len(g.vocab[x]))])
+				cp = append(cp, g.vocab[x][g.rng.Intn(len(g.vocab[x]))])
 			default:
-				out = append(out, tok)
+				cp = append(cp, tok)
 			}
 		}
-		if len(out) == 0 {
-			out = append(out, toks[0])
+		if len(cp) == 0 {
+			cp = append(cp, toks[0])
 		}
-		vals[x] = strings.Join(out, " ")
+		out[x] = cp
 	}
-	rec := tuple.MustRecord(schema, rid, stream, seq, vals)
+	return out
+}
+
+// copyOf materializes entity ent's perturbed copy toks (from perturb) as a
+// complete record.
+func (g *generator) copyOf(ent int, toks [][]string, rid string, stream int, seq int64) *tuple.Record {
+	vals := make([]string, len(toks))
+	for x, t := range toks {
+		vals[x] = strings.Join(t, " ")
+	}
+	rec := tuple.MustRecord(g.schema, rid, stream, seq, vals)
 	rec.EntityID = ent
 	return rec
 }
 
-// corrupt injects missing attributes per ξ and m.
-func (g *generator) corrupt(complete *tuple.Record, rid string, stream int, seq int64) *tuple.Record {
+// missing draws, per ξ and m, which attributes a stream tuple loses: nil
+// when it stays complete.
+func (g *generator) missing() []int {
 	if g.rng.Float64() >= g.opt.MissingRate {
-		cp := tuple.MustRecord(g.schema, rid, stream, seq, values(complete))
-		cp.EntityID = complete.EntityID
-		return cp
+		return nil
 	}
-	vals := values(complete)
-	d := len(vals)
+	d := len(g.p.Attrs)
 	m := g.opt.MissingAttrs
 	if m > d-1 {
 		m = d - 1 // keep at least one attribute for rules to hold on to
 	}
-	perm := g.rng.Perm(d)
-	for i := 0; i < m; i++ {
-		vals[perm[i]] = tuple.Missing
+	return g.rng.Perm(d)[:m]
+}
+
+// corrupt copies a complete record with the lost attributes (from missing)
+// made missing.
+func (g *generator) corrupt(complete *tuple.Record, lost []int) *tuple.Record {
+	vals := values(complete)
+	for _, j := range lost {
+		vals[j] = tuple.Missing
 	}
-	cp := tuple.MustRecord(g.schema, rid, stream, seq, vals)
+	cp := tuple.MustRecord(g.schema, complete.RID, complete.Stream, complete.Seq, vals)
 	cp.EntityID = complete.EntityID
 	return cp
 }
