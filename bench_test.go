@@ -485,47 +485,6 @@ func BenchmarkDeepReplay(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(f.stream))/b.Elapsed().Seconds(), "tuples/s")
 }
 
-// BenchmarkRebalance measures the online reshard end to end — barrier
-// drain, checkpoint capture, state teardown, re-install at the new K,
-// pipeline resume — on a loaded engine, alternating K=4 ↔ K=8. This is the
-// pause POST /rebalance inflicts on a live stream; reports the resident
-// count moved per reshard alongside the latency.
-func BenchmarkRebalance(b *testing.B) {
-	f := loadEngineFixture(b)
-	eng, err := engine.New(f.sh, engine.Config{Core: f.cfg, Shards: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	for _, r := range f.stream {
-		if err := eng.Submit(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Drain before timing, so the first reshard's barrier does not charge
-	// the whole submitted stream to the measurement.
-	if _, err := eng.Checkpoint(); err != nil {
-		b.Fatal(err)
-	}
-	residents := 0
-	for _, ss := range eng.Stats().PerShard {
-		residents += int(ss.Residents)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := 8
-		if i%2 == 1 {
-			k = 4
-		}
-		if err := eng.Reshard(k); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(residents), "residents")
-}
-
 // BenchmarkEngineShards measures sharded engine throughput at K ∈
 // {1, 2, 4, 8} over the same stream as BenchmarkProcessorBaseline, giving
 // future PRs a perf trajectory to track. On a 4+ core runner K=4 should

@@ -75,23 +75,21 @@ func TestFollowerHTTPModeAndPromotion(t *testing.T) {
 	})
 
 	// Writes are refused with the promotion hint while following.
-	for _, path := range []string{"/ingest", "/rebalance"} {
-		resp, err := http.Post(ts.URL+path, "application/x-ndjson", strings.NewReader(""))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("POST %s on a follower = %d, want 503", path, resp.StatusCode)
-		}
-		if !strings.Contains(string(body), "read-only replica") {
-			t.Fatalf("POST %s 503 body %q does not name the follower role", path, body)
-		}
+	resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST /ingest on a follower = %d, want 503", resp.StatusCode)
+	}
+	if !strings.Contains(string(body), "read-only replica") {
+		t.Fatalf("POST /ingest 503 body %q does not name the follower role", body)
 	}
 
 	// Promotion is refused while the writer holds the liveness lock.
-	resp, err := http.Post(ts.URL+"/promote", "", nil)
+	resp, err = http.Post(ts.URL+"/promote", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,8 @@
 //	                writes it server-side under -checkpoint-dir (disabled
 //	                unless that flag is set), otherwise the binary
 //	                checkpoint is the response body.
-//	POST /rebalance admin trigger for an online reshard (barrier →
-//	                re-install → resume); ?shards=K changes the shard
-//	                count, none re-installs at the current one.
 //	GET  /stats     engine + server counters as JSON, including per-shard
-//	                residents, the imbalance ratio, and reshard counters.
+//	                residents and the imbalance ratio.
 //	GET  /metrics   Prometheus text exposition: per-stage latency histograms
 //	                (impute, route, shard ER, merge, WAL, checkpoint, deep
 //	                replay) with p50/p95/p99 quantile gauges, plus counters.
@@ -40,13 +37,14 @@
 //	GET  /healthz   liveness (503 once the pipeline has failed or shutdown
 //	                has begun; 200 while still starting or recovering).
 //	GET  /readyz    readiness (503 with the phase as the body — "starting",
-//	                "recovering", "catching up", "rebalancing", "shutting
-//	                down" — until recovery replay or follower catch-up
-//	                finishes and the engine is serving traffic).
-//	GET  /events    the lifecycle event journal as NDJSON — reshards,
-//	                checkpoints, WAL rotation/truncation, deep replays,
-//	                throttle episodes, SLO transitions, recovery — oldest
-//	                first; ?from=seq resumes from a cursor.
+//	                "recovering", "catching up", "shutting down" — until
+//	                recovery replay or follower catch-up finishes and the
+//	                engine is serving traffic, or with the error once the
+//	                pipeline has failed).
+//	GET  /events    the lifecycle event journal as NDJSON — checkpoints,
+//	                WAL rotation/truncation, deep replays, throttle
+//	                episodes, SLO transitions, recovery — oldest first;
+//	                ?from=seq resumes from a cursor.
 //	GET  /slo       per-objective service-level status as JSON: current
 //	                value, fast/slow burn rates, remaining error budget, and
 //	                ok/warn/breach state (requires -slo or -slo-file).
@@ -54,7 +52,7 @@
 //	                (requires -flight-dir).
 //	POST /promote   flip a follower replica (-follow) to the writer: seal
 //	                at the WAL frontier, replay the un-tailed remainder,
-//	                attach the log, reopen /ingest and /rebalance. 409 while
+//	                attach the log, reopen /ingest. 409 while
 //	                the old writer still holds the liveness lock.
 //
 // The server reads one validated config (every flag range is checked before
@@ -107,8 +105,9 @@
 // -checkpoint-on-exit <file> makes SIGINT/SIGTERM drain the pipeline and
 // write a final checkpoint before exiting. Every windowed tuple resides in
 // grid partition fnv32a(RID) mod K, so shard load is balanced whatever the
-// stream's topic mix and there is nothing to tune; POST /rebalance changes K
-// online (checkpoints carry K, so -shards 0 recovery resumes at it).
+// stream's topic mix and there is nothing to tune. K is fixed at boot:
+// restart with another -shards, or boot a follower with it and promote it
+// (checkpoints carry K, so -shards 0 recovery resumes at it).
 //
 // Read-path scale-out: -follow <dir> boots the process as a read-only
 // follower replica over another terids-serve's -wal-dir. Writer and
@@ -118,9 +117,8 @@
 // /results, /stats, /metrics, /slo, and /events are byte-identical to the
 // writer's, one poll interval behind (terids_follower_lag gauges the gap).
 // That covers /results?from= cursors below its ring too: deep replay reads
-// the WAL through the tailer. /ingest and /rebalance answer 503 on a
-// follower. When the writer's checkpointer truncates the WAL below the
-// follower's cursor, the follower applies the delta-checkpoint chain onto
+// the WAL through the tailer. /ingest answers 503 on a follower. When the
+// writer's checkpointer truncates the WAL below the follower's cursor, the follower applies the delta-checkpoint chain onto
 // its live engine instead of rebuilding. POST /promote (or
 // -promote-on-writer-loss after the writer's flock has been free that long)
 // performs warm-standby takeover as a mode flip on the same handle: seal at

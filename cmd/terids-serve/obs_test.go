@@ -11,7 +11,6 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -367,21 +366,28 @@ func decodeEvents(t *testing.T, body string) []obs.Event {
 	return out
 }
 
-// TestServeEventsEndpoint: lifecycle events (here: an admin rebalance) land
-// in the journal and stream back from /events as NDJSON, with ?from= cursors
-// and malformed-cursor rejection.
+// TestServeEventsEndpoint: lifecycle events (here: a stream entering a
+// rate-limit episode) land in the journal and stream back from /events as
+// NDJSON, with ?from= cursors and malformed-cursor rejection.
 func TestServeEventsEndpoint(t *testing.T) {
 	f := loadServeFixture(t)
-	_, ts := startServer(t, f, 2, 256, nil)
-	ingest(t, ts, f.stream[:60])
+	srv, ts := startServer(t, f, 2, 256, nil)
+	srv.limiter = newRateLimiter(1, 3) // 1 tuple/sec, burst 3
 
-	resp, err := http.Post(ts.URL+"/rebalance?shards=4", "", nil)
+	var s0 []*tuple.Record
+	for _, r := range f.stream {
+		if r.Stream == 0 && len(s0) < 6 {
+			s0 = append(s0, r)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/ingest?wait=1", "application/x-ndjson",
+		strings.NewReader(ndjson(t, s0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /rebalance: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-limit ingest: status %d, want 429", resp.StatusCode)
 	}
 
 	eresp, body := get(t, ts.URL+"/events")
@@ -393,26 +399,22 @@ func TestServeEventsEndpoint(t *testing.T) {
 	}
 	events := decodeEvents(t, body)
 	if len(events) == 0 {
-		t.Fatal("/events returned no events after a rebalance")
+		t.Fatal("/events returned no events after a throttled ingest")
 	}
-	var start, done *obs.Event
+	var throttle *obs.Event
 	for i := range events {
-		ev := &events[i]
-		if ev.Type == "rebalance_start" && start == nil {
-			start = ev
-		}
-		if ev.Type == "rebalance_done" {
-			done = ev
+		if events[i].Type == "throttle" {
+			throttle = &events[i]
 		}
 	}
-	if start == nil || done == nil {
-		t.Fatalf("events missing rebalance_start/rebalance_done:\n%s", body)
+	if throttle == nil {
+		t.Fatalf("events missing throttle:\n%s", body)
 	}
-	if start.Fields["k_from"].(float64) != 2 {
-		t.Fatalf("rebalance_start k_from %v, want 2", start.Fields["k_from"])
+	if throttle.Fields["stream"].(float64) != 0 {
+		t.Fatalf("throttle stream %v, want 0", throttle.Fields["stream"])
 	}
-	if done.Fields["k_to"].(float64) != 4 {
-		t.Fatalf("rebalance_done k_to %v, want 4", done.Fields["k_to"])
+	if throttle.Fields["retry_after_s"].(float64) < 1 {
+		t.Fatalf("throttle retry_after_s %v, want >= 1", throttle.Fields["retry_after_s"])
 	}
 
 	// Cursor: resuming from the last event's seq returns exactly that suffix.
@@ -563,76 +565,4 @@ func TestServeDebugDump(t *testing.T) {
 	if nresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("dump without -flight-dir: status %d, want 404", nresp.StatusCode)
 	}
-}
-
-// TestServeTraceDuringRebalance hammers GET /trace while admin rebalances
-// and ingest run concurrently: every served trace must be complete — all
-// stage fields present, strictly positive total — under the race detector.
-func TestServeTraceDuringRebalance(t *testing.T) {
-	f := loadServeFixture(t)
-	_, ts, _ := startObsServer(t, f, 2, 1)
-	ingest(t, ts, f.stream[:40])
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := http.Get(ts.URL + "/trace")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				sc := bufio.NewScanner(resp.Body)
-				sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-				for sc.Scan() {
-					var tr map[string]any
-					if err := json.Unmarshal(sc.Bytes(), &tr); err != nil {
-						t.Errorf("trace line not JSON during rebalance: %v", err)
-						break
-					}
-					for _, key := range []string{"impute_queue_wait_ns", "impute_ns", "route_ns", "merge_hold_ns", "total_ns"} {
-						v, ok := tr[key].(float64)
-						if !ok {
-							t.Errorf("trace missing %q during rebalance: %v", key, tr)
-							break
-						}
-						if v < 0 {
-							t.Errorf("trace %s negative (%v) during rebalance", key, v)
-							break
-						}
-					}
-					if tot, _ := tr["total_ns"].(float64); tot <= 0 {
-						t.Errorf("trace total_ns %v during rebalance, want > 0", tr["total_ns"])
-					}
-				}
-				resp.Body.Close()
-			}
-		}()
-	}
-	// Rebalance back and forth while traces stream, with ingest in between.
-	next := 40
-	for i, k := range []int{4, 2, 4, 2} {
-		resp, err := http.Post(fmt.Sprintf("%s/rebalance?shards=%d", ts.URL, k), "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("rebalance %d: status %d", i, resp.StatusCode)
-		}
-		if next+20 <= len(f.stream) {
-			ingest(t, ts, f.stream[next:next+20])
-			next += 20
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

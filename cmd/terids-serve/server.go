@@ -152,7 +152,6 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /results", s.requireEngine(s.handleResults))
 	mux.HandleFunc("GET /stats", s.requireEngine(s.handleStats))
 	mux.HandleFunc("POST /snapshot", s.requireEngine(s.handleSnapshot))
-	mux.HandleFunc("POST /rebalance", s.requireEngine(s.handleRebalance))
 	mux.HandleFunc("GET /trace", s.requireEngine(s.handleTrace))
 	mux.Handle("GET /metrics", s.reg)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -180,8 +179,7 @@ func (s *server) refuseOnFollower(rw http.ResponseWriter) bool {
 
 // handlePromote turns a follower replica into the writer: seal at the WAL
 // frontier (refused while the old writer's liveness lock is held), replay
-// the un-tailed remainder, attach the log, and reopen /ingest and
-// /rebalance. Idempotent — repeating the POST reports the promoted state.
+// the un-tailed remainder, attach the log, and reopen /ingest. Idempotent — repeating the POST reports the promoted state.
 func (s *server) handlePromote(rw http.ResponseWriter, _ *http.Request) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
@@ -297,14 +295,10 @@ func (s *server) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 
 // handleReadyz reports readiness to take traffic: behind requireEngine, a
 // serving phase (recovery replay or follower catch-up finished, engine
-// attached, not shutting down), then a healthy pipeline and no rebalance
-// pause in progress. The 503 body names why ("starting", "recovering",
-// "catching up", "rebalancing", "shutting down").
+// attached, not shutting down), then a healthy pipeline. The 503 body names
+// why ("starting", "recovering", "catching up", "shutting down", or the
+// pipeline failure).
 func (s *server) handleReadyz(rw http.ResponseWriter, _ *http.Request) {
-	if s.eng.Rebalancing() {
-		http.Error(rw, "rebalancing", http.StatusServiceUnavailable)
-		return
-	}
 	if err := s.eng.Err(); err != nil {
 		http.Error(rw, fmt.Sprintf("pipeline failed: %v", err), http.StatusServiceUnavailable)
 		return
@@ -798,43 +792,6 @@ func (s *server) handleSnapshot(rw http.ResponseWriter, req *http.Request) {
 		// Headers are gone; the truncated body fails the client's checksum.
 		return
 	}
-}
-
-// handleRebalance is the admin trigger for an online reshard:
-// barrier-checkpoint, re-install at the new shard count, resume — ingest
-// blocks for the duration, results are never lost or duplicated. ?shards=K
-// changes the shard count (default: keep it). Responds with the before/after
-// imbalance and the barrier latency.
-func (s *server) handleRebalance(rw http.ResponseWriter, req *http.Request) {
-	if s.refuseOnFollower(rw) {
-		return
-	}
-	before := s.eng.Stats()
-	k := before.Shards
-	if q := req.URL.Query().Get("shards"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 || v > engine.MaxShards {
-			http.Error(rw, fmt.Sprintf("bad shards=%q: integer in [1,%d] required", q, engine.MaxShards),
-				http.StatusBadRequest)
-			return
-		}
-		k = v
-	}
-	start := time.Now()
-	if err := s.eng.Reshard(k); err != nil {
-		http.Error(rw, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	after := s.eng.Stats()
-	rw.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(rw).Encode(map[string]any{
-		"shards":           after.Shards,
-		"seq":              after.Rebalance.LastSeq,
-		"duration_ms":      float64(time.Since(start).Microseconds()) / 1000,
-		"imbalance_before": before.Imbalance,
-		"imbalance_after":  after.Imbalance,
-		"rebalances":       after.Rebalance.Rebalances,
-	})
 }
 
 // checkpointPath resolves a client-supplied checkpoint name inside the

@@ -841,127 +841,6 @@ func TestServeDeepReplayDepthAndPrunedCoverage(t *testing.T) {
 	srv.cfg.replayDepth = 0
 }
 
-// TestServeRebalanceEndpoint drives the admin reshard over HTTP: shard
-// count change mid-ingest, surfaced counters in /stats, parameter
-// validation, and — the part that matters — a final entity set
-// identical to the uninterrupted single-threaded reference.
-func TestServeRebalanceEndpoint(t *testing.T) {
-	f := loadServeFixture(t)
-	srv, ts := startServer(t, f, 2, 4096, nil)
-	mid := len(f.stream) / 2
-	ingest(t, ts, f.stream[:mid])
-
-	resp, err := http.Post(ts.URL+"/rebalance?shards=4", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Shards          int     `json:"shards"`
-		Seq             int64   `json:"seq"`
-		DurationMS      float64 `json:"duration_ms"`
-		ImbalanceBefore float64 `json:"imbalance_before"`
-		ImbalanceAfter  float64 `json:"imbalance_after"`
-		Rebalances      int64   `json:"rebalances"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /rebalance: status %d", resp.StatusCode)
-	}
-	if out.Shards != 4 || out.Seq != int64(mid) || out.Rebalances != 1 {
-		t.Fatalf("rebalance reply %+v, want shards=4 seq=%d rebalances=1", out, mid)
-	}
-	if out.DurationMS <= 0 {
-		t.Fatalf("rebalance reported duration %v ms", out.DurationMS)
-	}
-
-	// Ingest continues on the resharded engine; the merged output must be
-	// untouched by the change of K.
-	ingest(t, ts, f.stream[mid:])
-	if _, err := srv.eng.Checkpoint(); err != nil { // barrier = drain
-		t.Fatal(err)
-	}
-	proc, err := core.NewProcessor(f.sh, f.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range f.stream {
-		if _, err := proc.Advance(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := proc.Results().Pairs()
-	got := srv.eng.ResultSet()
-	if len(got) != len(want) {
-		t.Fatalf("final entity set after rebalance: %d pairs, reference %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].A.RID != want[i].A.RID || got[i].B.RID != want[i].B.RID || got[i].Prob != want[i].Prob {
-			t.Fatalf("final pair %d differs after rebalance: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-
-	// /stats surfaces the shard count, per-shard residents, the imbalance
-	// ratio, and the rebalance counters.
-	st := getStats(t, ts)
-	engStats, ok := st["engine"].(map[string]any)
-	if !ok {
-		t.Fatalf("/stats has no engine block: %v", st)
-	}
-	if got := engStats["shards"].(float64); got != 4 {
-		t.Fatalf("/stats engine.shards %v, want 4", got)
-	}
-	if perShard := engStats["per_shard"].([]any); len(perShard) != 4 {
-		t.Fatalf("/stats per_shard has %d entries, want 4", len(perShard))
-	}
-	if _, ok := engStats["imbalance"].(float64); !ok {
-		t.Fatalf("/stats engine.imbalance missing: %v", engStats)
-	}
-	reb, ok := engStats["rebalance"].(map[string]any)
-	if !ok {
-		t.Fatalf("/stats has no rebalance block: %v", engStats)
-	}
-	if got := reb["rebalances"].(float64); got != 1 {
-		t.Fatalf("/stats rebalance.rebalances %v, want 1", got)
-	}
-	if got := reb["last_seq"].(float64); got != float64(mid) {
-		t.Fatalf("/stats rebalance.last_seq %v, want %d", got, mid)
-	}
-	if got := reb["last_duration_ms"].(float64); got <= 0 {
-		t.Fatalf("/stats rebalance.last_duration_ms %v, want > 0", got)
-	}
-	if len(reb) != 3 {
-		t.Fatalf("/stats rebalance block %v, want exactly rebalances, last_seq, last_duration_ms", reb)
-	}
-
-	// No shards parameter re-installs at the current K.
-	resp, err = http.Post(ts.URL+"/rebalance", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || out.Shards != 4 || out.Seq != int64(len(f.stream)) || out.Rebalances != 2 {
-		t.Fatalf("POST /rebalance: status %d reply %+v, want shards=4 seq=%d rebalances=2", resp.StatusCode, out, len(f.stream))
-	}
-
-	// Parameter validation: shard counts outside [1, MaxShards] are 400s.
-	for _, bad := range []string{"0", "-2", "9999", "abc"} {
-		resp, err := http.Post(ts.URL+"/rebalance?shards="+bad, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("POST /rebalance?shards=%s: status %d, want 400", bad, resp.StatusCode)
-		}
-	}
-}
-
 // TestServeBadFrom rejects malformed replay cursors.
 func TestServeBadFrom(t *testing.T) {
 	f := loadServeFixture(t)

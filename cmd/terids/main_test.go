@@ -3,27 +3,24 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestCheckFlags: every flag core.Config.Validate does not own is checked
 // before any data is generated, with the flag named in the error.
 func TestCheckFlags(t *testing.T) {
 	type flags struct {
-		scale, eta, xi  float64
-		shards          int
-		walDir, restore string
-		ckptEvery       time.Duration
+		scale, eta, xi float64
+		shards         int
 	}
 	ok := flags{scale: 1, eta: 0.5, xi: 0.3, shards: 1}
 	check := func(f flags) error {
-		return checkFlags(f.scale, f.eta, f.xi, f.shards, f.walDir, f.restore, f.ckptEvery)
+		return checkFlags(f.scale, f.eta, f.xi, f.shards)
 	}
 	for _, f := range []flags{
 		ok,
 		{scale: 0.01, eta: 1, xi: 0, shards: 0},
-		{scale: 10, eta: 0.01, xi: 1, shards: 64, walDir: "state", ckptEvery: time.Minute},
-		{scale: 1, eta: 0.5, xi: 0.3, shards: 4, restore: "ckpt.bin"},
+		{scale: 10, eta: 0.01, xi: 1, shards: 64},
+		{scale: 1, eta: 0.5, xi: 0.3, shards: 4},
 	} {
 		if err := check(f); err != nil {
 			t.Errorf("checkFlags(%+v) = %v, want nil", f, err)
@@ -39,9 +36,6 @@ func TestCheckFlags(t *testing.T) {
 		{"xi", func(f *flags) { f.xi = 1.5 }, "-xi"},
 		{"shards negative", func(f *flags) { f.shards = -1 }, "-shards"},
 		{"shards huge", func(f *flags) { f.shards = 65 }, "-shards"},
-		{"wal and restore together", func(f *flags) { f.walDir, f.restore = "state", "ckpt.bin" }, "mutually exclusive"},
-		{"negative interval", func(f *flags) { f.walDir, f.ckptEvery = "state", -time.Second }, "-checkpoint-interval"},
-		{"interval without wal", func(f *flags) { f.ckptEvery = time.Minute }, "-checkpoint-interval requires -wal"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -27,11 +27,6 @@ type Config struct {
 	Alpha float64
 	// WindowSize is w, the per-stream count-based sliding window size.
 	WindowSize int
-	// TimeSpan, when > 0, switches the processor to the time-based window
-	// of Definition 2's extension: a tuple lives while its Seq is within
-	// TimeSpan of the latest arrival on its stream (several tuples may
-	// share a timestamp). WindowSize is ignored in that mode.
-	TimeSpan int64
 	// Streams is n, the number of incomplete data streams.
 	Streams int
 	// CellsPerDim is the ER-grid resolution (cells along each dimension).

@@ -391,6 +391,20 @@ func TestForeignSchemaRejected(t *testing.T) {
 	}
 }
 
+func TestProcessorRejectsBadStream(t *testing.T) {
+	f := newFixture(t, 85, 40, 0, 0)
+	ter, err := NewProcessor(f.shared, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(2))
+	bad := f.record(r, 0, 0, diseases[0], 0)
+	bad.Stream = 9
+	if _, err := ter.Advance(bad); err == nil {
+		t.Fatal("out-of-range stream must error")
+	}
+}
+
 func TestAllBaselineKindsRun(t *testing.T) {
 	f := newFixture(t, 37, 40, 50, 0.3)
 	for _, kind := range []BaselineKind{IjGER, CDDER, DDER, ErER, ConER, Naive} {

@@ -23,7 +23,6 @@ func NewCheckpointHeader(sh *Shared, cfg Config) *snapshot.Checkpoint {
 	return &snapshot.Checkpoint{
 		Streams:     cfg.Streams,
 		WindowSize:  cfg.WindowSize,
-		TimeSpan:    cfg.TimeSpan,
 		Gamma:       cfg.Gamma,
 		Alpha:       cfg.Alpha,
 		Keywords:    sh.Keywords.Texts(),
@@ -46,10 +45,7 @@ func CheckpointCompatible(sh *Shared, cfg Config, c *snapshot.Checkpoint) error 
 	if cfg.Streams != c.Streams {
 		return fmt.Errorf("core: checkpoint has %d streams, configured %d", c.Streams, cfg.Streams)
 	}
-	if cfg.TimeSpan != c.TimeSpan {
-		return fmt.Errorf("core: checkpoint time span %d, configured %d", c.TimeSpan, cfg.TimeSpan)
-	}
-	if cfg.TimeSpan == 0 && cfg.WindowSize != c.WindowSize {
+	if cfg.WindowSize != c.WindowSize {
 		return fmt.Errorf("core: checkpoint window size %d, configured %d", c.WindowSize, cfg.WindowSize)
 	}
 	if cfg.Gamma != c.Gamma || cfg.Alpha != c.Alpha {
@@ -183,20 +179,8 @@ func (p *Processor) Restore(c *snapshot.Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	if p.timeWins != nil {
-		perStream := make([][]*tuple.Record, len(p.timeWins))
-		for _, r := range recs {
-			perStream[r.Stream] = append(perStream[r.Stream], r)
-		}
-		for i, tw := range p.timeWins {
-			if err := tw.Import(perStream[i]); err != nil {
-				return err
-			}
-		}
-	} else {
-		if err := p.windows.Import(recs); err != nil {
-			return err
-		}
+	if err := p.windows.Import(recs); err != nil {
+		return err
 	}
 	entries := make([]*grid.Entry, len(recs))
 	for i, r := range recs {

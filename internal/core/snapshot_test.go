@@ -103,14 +103,6 @@ func TestProcessorSnapshotRestoreEquivalence(t *testing.T) {
 	snapshotEquivalence(t, testConfig())
 }
 
-// TestProcessorSnapshotTimeWindowMode covers the time-based window variant,
-// whose window clock must be recovered from the residents.
-func TestProcessorSnapshotTimeWindowMode(t *testing.T) {
-	cfg := testConfig()
-	cfg.TimeSpan = 15
-	snapshotEquivalence(t, cfg)
-}
-
 // TestProcessorRestoreRejectsMismatchedConfig: a checkpoint must not load
 // under a configuration that changes which pairs are emitted.
 func TestProcessorRestoreRejectsMismatchedConfig(t *testing.T) {
@@ -129,10 +121,9 @@ func TestProcessorRestoreRejectsMismatchedConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	muts := map[string]func(*Config){
-		"gamma":    func(c *Config) { c.Gamma = 1.5 },
-		"alpha":    func(c *Config) { c.Alpha = 0.3 },
-		"window":   func(c *Config) { c.WindowSize = 19 },
-		"timespan": func(c *Config) { c.TimeSpan = 10 },
+		"gamma":  func(c *Config) { c.Gamma = 1.5 },
+		"alpha":  func(c *Config) { c.Alpha = 0.3 },
+		"window": func(c *Config) { c.WindowSize = 19 },
 	}
 	for name, mut := range muts {
 		t.Run(name, func(t *testing.T) {

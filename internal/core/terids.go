@@ -18,10 +18,8 @@ import (
 type Processor struct {
 	step    *Step
 	windows *stream.MultiWindow
-	// timeWins replaces windows in time-based mode (cfg.TimeSpan > 0).
-	timeWins []*stream.TimeWindow
-	grid     *grid.Grid
-	results  *ResultSet
+	grid    *grid.Grid
+	results *ResultSet
 
 	// seq counts arrivals; seqOf maps each resident RID to its 0-based
 	// arrival sequence. Together they make the processor checkpointable at
@@ -46,52 +44,17 @@ func NewProcessor(sh *Shared, cfg Config) (*Processor, error) {
 		results: NewResultSet(),
 		seqOf:   make(map[string]int64),
 	}
-	if cfg.TimeSpan > 0 {
-		p.timeWins = make([]*stream.TimeWindow, cfg.Streams)
-		for i := range p.timeWins {
-			tw, err := stream.NewTimeWindow(cfg.TimeSpan)
-			if err != nil {
-				return nil, err
-			}
-			p.timeWins[i] = tw
-		}
-	} else {
-		mw, err := stream.NewMultiWindow(cfg.Streams, cfg.WindowSize)
-		if err != nil {
-			return nil, err
-		}
-		p.windows = mw
+	mw, err := stream.NewMultiWindow(cfg.Streams, cfg.WindowSize)
+	if err != nil {
+		return nil, err
 	}
+	p.windows = mw
 	g, err := step.NewGrid()
 	if err != nil {
 		return nil, err
 	}
 	p.grid = g
 	return p, nil
-}
-
-// pushWindow routes an arrival into the configured window model and
-// returns the tuples it expires.
-func (p *Processor) pushWindow(r *tuple.Record) ([]*tuple.Record, error) {
-	if p.timeWins != nil {
-		if r.Stream < 0 || r.Stream >= len(p.timeWins) {
-			return nil, fmt.Errorf("core: record %s has stream %d, have %d streams",
-				r.RID, r.Stream, len(p.timeWins))
-		}
-		tw := p.timeWins[r.Stream]
-		if err := tw.Push(r); err != nil {
-			return nil, err
-		}
-		return tw.Advance(r.Seq), nil
-	}
-	expired, err := p.windows.Push(r)
-	if err != nil {
-		return nil, err
-	}
-	if expired == nil {
-		return nil, nil
-	}
-	return []*tuple.Record{expired}, nil
 }
 
 // Name implements Resolver.
@@ -117,14 +80,14 @@ func (p *Processor) Advance(r *tuple.Record) ([]Pair, error) {
 	}
 	// Expiry (Algorithm 2 lines 2-7): expired tuples of r's stream leave
 	// the window, the grid, and the entity set.
-	expired, err := p.pushWindow(r)
+	expired, err := p.windows.Push(r)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range expired {
-		p.grid.Remove(e.RID)
-		p.results.RemoveRID(e.RID)
-		delete(p.seqOf, e.RID)
+	if expired != nil {
+		p.grid.Remove(expired.RID)
+		p.results.RemoveRID(expired.RID)
+		delete(p.seqOf, expired.RID)
 	}
 
 	// Imputation via the index join (line 9).

@@ -5,7 +5,7 @@
 // chain onto its live engine and resumes tailing from the new watermark,
 // instead of rebuilding from scratch. The engine object, its OnResult
 // subscribers, metrics, and journal all survive the jump; the operator
-// state is replaced through the same swap a reshard uses.
+// state is replaced through a swap (snapshot.go) at the engine's own K.
 //
 // AttachWAL is the other half of warm-standby takeover: promotion opens
 // the writer's log (the flock guarantees the old writer is gone), replays
@@ -49,9 +49,12 @@ func (e *Engine) AttachWAL(l *wal.Log) error {
 
 // ApplyCheckpoint advances a running engine to checkpoint c in place — a
 // swap onto c's state (see swap for the pause/ownership rules). Submissions
-// block for the duration (like Reshard); OnResult, metrics, and the
-// journal stay attached. The checkpoint must be at or ahead of the engine's
-// watermark — a live engine never rewinds. Must not be called from OnResult.
+// block for the duration; OnResult, metrics, and the journal stay attached.
+// The engine keeps its own K whatever c.Shards says: K is fixed at boot, so
+// a follower booted with a new -shards runs at it from catch-up through
+// promotion (placement is free — results are identical either way). The
+// checkpoint must be at or ahead of the engine's watermark — a live engine
+// never rewinds. Must not be called from OnResult.
 //
 //terids:deterministic
 func (e *Engine) ApplyCheckpoint(c *snapshot.Checkpoint) error {
@@ -66,14 +69,7 @@ func (e *Engine) ApplyCheckpoint(c *snapshot.Checkpoint) error {
 	if c.Seq < e.seq.Load() {
 		return fmt.Errorf("engine: checkpoint watermark %d is behind the engine at %d", c.Seq, e.seq.Load())
 	}
-	// Adopt the checkpoint's K, so a follower tracks the writer across
-	// reshards; keep the current one when the field is outside the adoption
-	// cap (placement is free — results are identical either way).
-	k := checkpointShards(c)
-	if k == 0 {
-		k = e.cfg.Shards
-	}
-	if _, err := e.swap(k, c); err != nil {
+	if err := e.swap(c); err != nil {
 		return err
 	}
 	e.jr.Record("checkpoint_applied", "advanced live engine to checkpoint",

@@ -66,57 +66,6 @@ func TestSubmitBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchRebalanceMidStream interleaves batched submission with an
-// online rebalance K→K' at a mid-stream barrier; output must stay
-// byte-identical to the uninterrupted reference.
-func TestSubmitBatchRebalanceMidStream(t *testing.T) {
-	f := loadFixture(t)
-	wantPerArrival, wantFinal := runProcessor(t, f)
-	half := len(f.stream) / 2
-
-	col := newCollector()
-	eng, err := New(f.sh, Config{Core: f.cfg, Shards: 2, OnResult: col.onResult})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := 0; off < half; off += 16 {
-		end := off + 16
-		if end > half {
-			end = half
-		}
-		if err := eng.SubmitBatch(f.stream[off:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Reshard(5); err != nil {
-		t.Fatal(err)
-	}
-	for off := half; off < len(f.stream); off += 16 {
-		end := off + 16
-		if end > len(f.stream) {
-			end = len(f.stream)
-		}
-		if err := eng.SubmitBatch(f.stream[off:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantPerArrival {
-		pairs, ok := col.pairs[int64(i)]
-		if !ok {
-			t.Fatalf("arrival %d never finalized across the rebalance", i)
-		}
-		if !samePairs(wantPerArrival[i], pairs) {
-			t.Fatalf("arrival %d: got %v, reference %v", i, pairs, wantPerArrival[i])
-		}
-	}
-	if !samePairs(wantFinal, eng.ResultSet()) {
-		t.Fatal("final entity set differs after mid-stream rebalance")
-	}
-}
-
 // TestSubmitBatchCrashRecovery crash-recovers a WAL written entirely by
 // batched submits: kill mid-stream (directory clone), recover at a different
 // K, finish with batched submits, and require byte-identical output — the

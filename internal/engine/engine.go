@@ -4,8 +4,10 @@
 //
 // The ER-grid is partitioned into K shards. Each shard worker goroutine owns
 // one grid.Grid partition — its slice of the windowed tuples — and processes
-// a FIFO command stream. An arriving tuple flows through a bounded-channel
-// pipeline:
+// a FIFO command stream. K is fixed for an engine's lifetime: it is set at
+// construction (or adopted from the checkpoint a restore starts from), and
+// changes only by restoring a checkpoint into a new engine at another K.
+// An arriving tuple flows through a bounded-channel pipeline:
 //
 //	Submit → [impute workers ×W] → [router] → [shard workers ×K] → [merger]
 //
@@ -88,7 +90,7 @@ type Config struct {
 	// Obs selects the registry the engine publishes its stage metrics into.
 	// Nil means obs.Default(), the process-wide registry /metrics serves.
 	Obs *obs.Registry
-	// Journal selects the event journal lifecycle events (reshards,
+	// Journal selects the event journal lifecycle events (checkpoints,
 	// pipeline failure) are recorded into. Nil means obs.DefaultJournal(),
 	// the journal GET /events serves; ObsOff disables it with the rest of
 	// the instrumentation.
@@ -202,7 +204,7 @@ type Engine struct {
 	subMu  sync.Mutex
 	closed bool
 	// inflight tracks submitters between sequence assignment and pipeline
-	// injection; Close and Reshard wait for them before closing imputeIn
+	// injection; Close and swap wait for them before closing imputeIn
 	// (an assigned sequence number MUST reach the pipeline, or the merger's
 	// reorder buffer would wait for it forever).
 	inflight sync.WaitGroup
@@ -214,8 +216,8 @@ type Engine struct {
 	// and merger's reorder buffers release from it.
 	startSeq int64
 
-	// stateMu guards the fields a swap replaces — shards, shardCh,
-	// cfg.Shards, the pipeline channels, the windows — against concurrent
+	// stateMu guards the fields a swap replaces — shards, shardCh, the
+	// pipeline channels, the windows — against concurrent
 	// readers outside the pipeline (Stats, Imbalance). Pipeline goroutines
 	// never take it: they are created after a swap completes and stopped
 	// before the next one begins.
@@ -233,7 +235,7 @@ type Engine struct {
 	hdrCh      chan []header
 	partials   chan partial
 	// shardScratch holds the router's per-shard batch under construction
-	// (router-owned; length tracks cfg.Shards across reshards). A slot is
+	// (router-owned; length cfg.Shards). A slot is
 	// nil after its batch is handed to the shard and refilled from the pool
 	// on the next routed run.
 	shardScratch [][]shardItem
@@ -253,13 +255,10 @@ type Engine struct {
 
 	// windows is the router-owned sequential stream state; live is the set
 	// of resident RIDs (duplicate rejection).
-	windows  *stream.MultiWindow
-	timeWins []*stream.TimeWindow
-	live     map[string]struct{}
+	windows *stream.MultiWindow
+	live    map[string]struct{}
 
 	shards []*shard
-
-	reb rebState
 
 	// met is nil when Config.ObsOff is set — every stage guards its
 	// instrumentation with one pointer check. traces is nil unless
@@ -268,10 +267,6 @@ type Engine struct {
 	met    *engineMetrics
 	traces *obs.Ring[Trace]
 	jr     *obs.Journal
-
-	// rebalancing is set for the span of an online state swap — the pause
-	// window during which /readyz reports not-ready.
-	rebalancing atomic.Bool
 
 	failOnce sync.Once
 	failErr  error
@@ -298,11 +293,11 @@ func New(sh *core.Shared, cfg Config) (*Engine, error) {
 // taken at any shard count — resuming at its watermark; a nil c means
 // genesis, a fresh engine at sequence zero. Residency is re-derived from each
 // resident's RID under the new configuration's K', so restoring at a
-// different shard count reshards for free; output remains byte-identical to
+// different shard count is how K changes; output remains byte-identical to
 // an uninterrupted run because resolution never depends on where a tuple
 // resides. When the configuration auto-sizes the shard count (Shards == 0)
-// the checkpoint's K is adopted, so a resharded deployment recovers at the K
-// it was running; a slot table found in an old checkpoint is ignored.
+// the checkpoint's K is adopted, so a deployment recovers at the K it was
+// running. K is then fixed for the engine's lifetime.
 //
 //terids:deterministic
 func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engine, error) {
@@ -351,7 +346,7 @@ func NewFromSnapshot(sh *core.Shared, cfg Config, c *snapshot.Checkpoint) (*Engi
 	e.shardPairsPool = newSlicePool[shardPair](ps("shard_pairs"))
 	e.walBufPool = newSlicePool[wal.Entry](ps("wal_entries"))
 
-	if err := e.install(cfg.Shards, c); err != nil {
+	if err := e.install(c); err != nil {
 		e.cancel()
 		return nil, err
 	}
@@ -603,7 +598,7 @@ func (e *Engine) inject(chunk []*item) error {
 		return nil
 	case <-e.ctx.Done():
 		// Only a pipeline failure cancels the context while submitters are
-		// inflight (Close and Reshard wait for us first).
+		// inflight (Close and swap wait for us first).
 		if err := e.Err(); err != nil {
 			return err
 		}
@@ -783,16 +778,16 @@ func (e *Engine) routeBatch(items []*item) bool {
 			hdrs = append(hdrs, hdr)
 			continue
 		}
-		expired, err := e.pushWindow(it.rec)
+		expired, err := e.windows.Push(it.rec)
 		if err != nil {
 			e.fail(err)
 			e.headersPool.put(hdrs)
 			return false
 		}
 		var rids []string
-		for _, x := range expired {
-			rids = append(rids, x.RID)
-			delete(e.live, x.RID)
+		if expired != nil {
+			rids = []string{expired.RID}
+			delete(e.live, expired.RID)
 		}
 		e.live[it.rec.RID] = struct{}{}
 		home := it.prof.home
@@ -838,31 +833,6 @@ func (e *Engine) routeBatch(items []*item) bool {
 		return false
 	}
 	return true
-}
-
-// pushWindow mirrors core.Processor's window handling.
-//
-//terids:hotpath
-func (e *Engine) pushWindow(r *tuple.Record) ([]*tuple.Record, error) {
-	if e.timeWins != nil {
-		if r.Stream < 0 || r.Stream >= len(e.timeWins) {
-			return nil, fmt.Errorf("engine: record %s has stream %d, have %d streams",
-				r.RID, r.Stream, len(e.timeWins))
-		}
-		tw := e.timeWins[r.Stream]
-		if err := tw.Push(r); err != nil {
-			return nil, err
-		}
-		return tw.Advance(r.Seq), nil
-	}
-	expired, err := e.windows.Push(r)
-	if err != nil {
-		return nil, err
-	}
-	if expired == nil {
-		return nil, nil
-	}
-	return []*tuple.Record{expired}, nil
 }
 
 // ResultSet returns a point-in-time copy of the live entity set, sorted by

@@ -195,58 +195,6 @@ func TestEngineMatchesProcessor(t *testing.T) {
 	}
 }
 
-// TestEngineTimeWindowMode checks the time-based window variant drives the
-// same expiry semantics as the Processor.
-func TestEngineTimeWindowMode(t *testing.T) {
-	f := loadFixture(t)
-	cfg := f.cfg
-	cfg.TimeSpan = 40
-
-	proc, err := core.NewProcessor(f.sh, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]core.Pair, 0, len(f.stream))
-	for _, r := range f.stream {
-		pairs, err := proc.Advance(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, pairs)
-	}
-
-	var mu sync.Mutex
-	got := make([][]core.Pair, len(f.stream))
-	eng, err := New(f.sh, Config{
-		Core:   cfg,
-		Shards: 3,
-		OnResult: func(res Result) {
-			mu.Lock()
-			got[res.Seq] = res.Pairs
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range f.stream {
-		if err := eng.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if !samePairs(want[i], got[i]) {
-			t.Fatalf("time-window arrival %d: engine %v, processor %v", i, got[i], want[i])
-		}
-	}
-	if !samePairs(proc.Results().Pairs(), eng.ResultSet()) {
-		t.Fatal("time-window final entity sets differ")
-	}
-}
-
 // TestEngineLifecycleErrors covers the submission error contract.
 func TestEngineLifecycleErrors(t *testing.T) {
 	f := loadFixture(t)

@@ -129,9 +129,10 @@ func TestFollowerTailsWriterAndPromotes(t *testing.T) {
 // TestFollowerLiveDeltaCatchUp is the live-apply convergence property test:
 // when the WAL is truncated below the follower's cursor, the follower must
 // catch up by applying the delta-checkpoint chain onto its RUNNING engine
-// — incrementally from the checkpoint state it already holds in memory,
-// across a mid-chain writer rebalance (K 2→3) — and converge to results
-// byte-identical to a cold OpenDurable restore of the same directory. Run
+// — incrementally from the checkpoint state it already holds in memory —
+// and converge to results byte-identical to a cold OpenDurable restore of
+// the same directory. The follower is booted at K=3 over a K=2 writer: K is
+// fixed at boot, so it stays 3 through the catch-up and the promotion. Run
 // under -race in CI.
 func TestFollowerLiveDeltaCatchUp(t *testing.T) {
 	f := loadFixture(t)
@@ -168,7 +169,7 @@ func TestFollowerLiveDeltaCatchUp(t *testing.T) {
 	// catch-up pass run.
 	var gate sync.RWMutex
 	gate.Lock()
-	fol, err := openFollower(f.sh, Config{Core: f.cfg, Shards: 2}, DurableConfig{Dir: dir, NoSync: true},
+	fol, err := openFollower(f.sh, Config{Core: f.cfg, Shards: 3}, DurableConfig{Dir: dir, NoSync: true},
 		func() { gate.RLock(); gate.RUnlock() }) //nolint:staticcheck // empty critical section is the point
 	if err != nil {
 		t.Fatal(err)
@@ -180,12 +181,8 @@ func TestFollowerLiveDeltaCatchUp(t *testing.T) {
 
 	submit(q1, q2)
 	ckpt() // delta q1→q2
-	// Mid-chain topology change: the next delta spans a rebalanced writer.
-	if err := w.Eng.Reshard(3); err != nil {
-		t.Fatal(err)
-	}
 	submit(q2, q3)
-	ckpt() // delta q2→q3, across the rebalance
+	ckpt() // delta q2→q3
 	// Aggressive retention: drop the WAL prefix the stalled follower still
 	// needs, so its next pass gets ErrTruncated instead of entries.
 	if err := w.Log.TruncateBefore(int64(q3)); err != nil {
@@ -209,7 +206,7 @@ func TestFollowerLiveDeltaCatchUp(t *testing.T) {
 		t.Fatalf("catch-up did not use the incremental delta chain (base was in memory): %+v", st)
 	}
 	if got := fol.Eng.Stats().Shards; got != 3 {
-		t.Fatalf("follower did not adopt the rebalanced topology: K=%d, want 3", got)
+		t.Fatalf("follower took K=%d from the K=2 writer's checkpoints, want its own 3", got)
 	}
 
 	// Steady-state tailing resumes after the jump.
@@ -254,6 +251,9 @@ func TestFollowerLiveDeltaCatchUp(t *testing.T) {
 	}
 	if got := p.RestoredCheckpoint().Seq; got != int64(q3) {
 		t.Fatalf("promoted writer descends from checkpoint seq %d, want the catch-up's %d", got, q3)
+	}
+	if got := p.Eng.Stats().Shards; got != 3 {
+		t.Fatalf("promoted writer runs at K=%d, want the follower's boot-time 3", got)
 	}
 	if err := p.Close(false); err != nil {
 		t.Fatal(err)

@@ -60,14 +60,13 @@ type engineMetrics struct {
 	rejected     *obs.Counter
 	traceSampled *obs.Counter
 
-	imputeWait     *obs.Histogram
-	imputeTime     *obs.Histogram
-	routeTime      *obs.Histogram
-	mergeHold      *obs.Histogram
-	mergePending   *obs.Gauge
-	walWait        *obs.Histogram
-	rebalancePause *obs.Histogram
-	batchEntries   *obs.Histogram
+	imputeWait   *obs.Histogram
+	imputeTime   *obs.Histogram
+	routeTime    *obs.Histogram
+	mergeHold    *obs.Histogram
+	mergePending *obs.Gauge
+	walWait      *obs.Histogram
+	batchEntries *obs.Histogram
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -91,8 +90,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 			"Arrivals currently held in the merger's reorder buffer.", nil),
 		walWait: reg.Histogram("terids_wal_submit_wait_seconds",
 			"Submitter-observed WAL group-commit wait, reservation to durable.", nil),
-		rebalancePause: reg.Histogram("terids_rebalance_pause_seconds",
-			"Online reshard pause: barrier drain to pipeline resume.", nil),
 		batchEntries: reg.SizeHistogram("terids_submit_batch_entries",
 			"Arrivals per accepted submission batch (1 = single Submit).", nil),
 	}
@@ -109,7 +106,7 @@ func (m *engineMetrics) poolStats(name string) poolStats {
 }
 
 // shardResolve is shard id's resolve-latency histogram. Shard ids repeat
-// across reshards and engines sharing a registry; the series are cumulative
+// across state swaps and engines sharing a registry; the series are cumulative
 // per (process, shard id), as Prometheus counters are.
 func (m *engineMetrics) shardResolve(id int) *obs.Histogram {
 	return m.reg.Histogram("terids_shard_resolve_seconds",

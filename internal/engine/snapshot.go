@@ -8,7 +8,6 @@ import (
 	"terids/internal/grid"
 	"terids/internal/snapshot"
 	"terids/internal/stream"
-	"terids/internal/tuple"
 )
 
 // Flush is the barrier without the capture: it pauses intake and returns
@@ -78,14 +77,7 @@ func (e *Engine) checkpointLocked() (*snapshot.Checkpoint, error) {
 		}
 	}
 
-	var recs []*tuple.Record
-	if e.timeWins != nil {
-		for _, tw := range e.timeWins {
-			recs = append(recs, tw.Export()...)
-		}
-	} else {
-		recs = e.windows.Export()
-	}
+	recs := e.windows.Export()
 	for _, r := range recs {
 		if _, ok := seqOf[r.RID]; !ok {
 			return nil, fmt.Errorf("engine: window resident %s missing from every shard", r.RID)
@@ -111,36 +103,22 @@ func (e *Engine) checkpointLocked() (*snapshot.Checkpoint, error) {
 }
 
 // install is the one place engine state comes into being: it builds the
-// windows, k shard grids, and stage channels, then loads checkpoint c —
-// residents re-inserted in arrival order with profiles and residency
-// recomputed, the entity set, the progress counters — and sets
+// windows, the cfg.Shards shard grids, and stage channels, then loads
+// checkpoint c — residents re-inserted in arrival order with profiles and
+// residency recomputed, the entity set, the progress counters — and sets
 // the sequence space to its watermark. A nil c is genesis, the empty
 // checkpoint at sequence zero. No pipeline goroutine may be running, and
 // after an error none may be started.
 //
 //terids:deterministic
-func (e *Engine) install(k int, c *snapshot.Checkpoint) error {
+func (e *Engine) install(c *snapshot.Checkpoint) error {
 	// Every fallible construction happens into locals first: a failure here
 	// must not publish half-built state (a shards slice with nil entries
 	// would panic a concurrent Stats/Imbalance reader).
-	cc := e.cfg.Core
-	var timeWins []*stream.TimeWindow
-	var windows *stream.MultiWindow
-	if cc.TimeSpan > 0 {
-		timeWins = make([]*stream.TimeWindow, cc.Streams)
-		for i := range timeWins {
-			tw, err := stream.NewTimeWindow(cc.TimeSpan)
-			if err != nil {
-				return err
-			}
-			timeWins[i] = tw
-		}
-	} else {
-		mw, err := stream.NewMultiWindow(cc.Streams, cc.WindowSize)
-		if err != nil {
-			return err
-		}
-		windows = mw
+	k := e.cfg.Shards
+	windows, err := stream.NewMultiWindow(e.cfg.Core.Streams, e.cfg.Core.WindowSize)
+	if err != nil {
+		return err
 	}
 	shardCh := make([]chan shardCmd, k)
 	shards := make([]*shard, k)
@@ -162,23 +140,21 @@ func (e *Engine) install(k int, c *snapshot.Checkpoint) error {
 
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
-	// The impute pool follows K too: start() sizes it from Shards.
-	e.cfg.Shards = k
 	e.imputeIn = make(chan []*item, e.cfg.QueueDepth)
 	e.imputedOut = make(chan []*item, e.cfg.QueueDepth)
 	e.hdrCh = make(chan []header, e.cfg.QueueDepth)
 	e.partials = make(chan partial, e.cfg.QueueDepth*k)
 	e.shardScratch = make([][]shardItem, k)
-	e.timeWins, e.windows = timeWins, windows
+	e.windows = windows
 	e.shardCh, e.shards = shardCh, shards
 	e.live = make(map[string]struct{}, len(recs))
 
 	for i, rec := range recs {
-		expired, err := e.pushWindow(rec)
+		expired, err := e.windows.Push(rec)
 		if err != nil {
 			return err
 		}
-		if len(expired) > 0 {
+		if expired != nil {
 			return fmt.Errorf("engine: checkpoint resident %s overflows stream %d window",
 				rec.RID, rec.Stream)
 		}
@@ -206,9 +182,7 @@ func (e *Engine) install(k int, c *snapshot.Checkpoint) error {
 
 // swap replaces a running engine's state in place: drain to the watermark,
 // stop the pipeline (closing intake cascades the shutdown left to right, as
-// in Close), install checkpoint c at k shards, restart. A nil c
-// re-installs the engine's own state, captured at the barrier — a pure
-// reshard; the installed checkpoint is returned either way. The engine
+// in Close), install checkpoint c at the engine's own K, restart. The engine
 // object, its WAL, OnResult sink, metrics, and journal carry over.
 //
 // Ownership: the caller holds subMu throughout — that is what keeps arrivals
@@ -216,31 +190,23 @@ func (e *Engine) install(k int, c *snapshot.Checkpoint) error {
 // has seen the old pipeline's last goroutine exit. If install then fails,
 // the old pipeline is gone and no new one started, so the engine is failed:
 // submitters and Checkpoint get the error instead of a hang.
-func (e *Engine) swap(k int, c *snapshot.Checkpoint) (*snapshot.Checkpoint, error) {
+func (e *Engine) swap(c *snapshot.Checkpoint) error {
 	if e.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	e.rebalancing.Store(true)
-	defer e.rebalancing.Store(false)
-	var err error
-	if c == nil {
-		c, err = e.checkpointLocked()
-	} else {
-		err = e.flushLocked()
-	}
-	if err != nil {
-		return nil, err
+	if err := e.flushLocked(); err != nil {
+		return err
 	}
 	close(e.imputeIn)
 	e.mergeWG.Wait()
 	if err := e.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := e.install(k, c); err != nil {
+	if err := e.install(c); err != nil {
 		e.closed = true
 		e.fail(err)
-		return nil, err
+		return err
 	}
 	e.start()
-	return c, nil
+	return nil
 }

@@ -132,68 +132,6 @@ func TestCrashRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestCrashRestoreTimeWindows covers the time-based window variant: the
-// engine checkpoint must capture the per-stream time windows (the clock is
-// re-derived from the residents) and restore them exactly.
-func TestCrashRestoreTimeWindows(t *testing.T) {
-	f := loadFixture(t)
-	cfg := f.cfg
-	cfg.TimeSpan = 40
-
-	proc, err := core.NewProcessor(f.sh, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]core.Pair, len(f.stream))
-	for i, r := range f.stream {
-		pairs, err := proc.Advance(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = pairs
-	}
-
-	mid := len(f.stream) / 3
-	eng, err := New(f.sh, Config{Core: cfg, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range f.stream[:mid] {
-		if err := eng.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, err := eng.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	col := newCollector()
-	eng2, err := NewFromSnapshot(f.sh, Config{Core: cfg, Shards: 3, OnResult: col.onResult}, roundtrip(t, c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range f.stream[mid:] {
-		if err := eng2.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := mid; i < len(f.stream); i++ {
-		if !samePairs(want[i], col.pairs[int64(i)]) {
-			t.Fatalf("time-window arrival %d diverged after restore", i)
-		}
-	}
-	if !samePairs(proc.Results().Pairs(), eng2.ResultSet()) {
-		t.Fatal("time-window final entity sets differ after restore")
-	}
-}
-
 // TestCheckpointBarrierIsNonDisruptive: checkpointing a running engine and
 // then continuing on the SAME engine must not perturb its output.
 func TestCheckpointBarrierIsNonDisruptive(t *testing.T) {
@@ -454,16 +392,6 @@ func TestRestoreEntryPointsEquivalent(t *testing.T) {
 		{"NewFromSnapshot", func(t *testing.T, col *collector) []core.Pair {
 			eng, err := NewFromSnapshot(f.sh, Config{Core: f.cfg, Shards: k, OnResult: col.onResult}, c)
 			if err != nil {
-				t.Fatal(err)
-			}
-			return runSuffix(t, eng)
-		}},
-		{"Rebalance to the same layout", func(t *testing.T, col *collector) []core.Pair {
-			eng, err := NewFromSnapshot(f.sh, Config{Core: f.cfg, Shards: k, OnResult: col.onResult}, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Reshard(k); err != nil {
 				t.Fatal(err)
 			}
 			return runSuffix(t, eng)

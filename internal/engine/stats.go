@@ -31,8 +31,7 @@ type ShardStats struct {
 // Considered, Topic and SimUB are diagnostics of this engine's work.
 type Stats struct {
 	Shards int `json:"shards"`
-	// ImputeWorkers is the current imputation pool size: one worker per
-	// shard, so it tracks Shards across reshards.
+	// ImputeWorkers is the imputation pool size: one worker per shard.
 	ImputeWorkers int   `json:"impute_workers"`
 	Submitted     int64 `json:"submitted"`
 	Completed     int64 `json:"completed"`
@@ -45,8 +44,6 @@ type Stats struct {
 	// Imbalance is the current skew ratio: the most loaded shard's residents
 	// over the per-shard mean (1 = balanced, Shards = everything on one).
 	Imbalance float64 `json:"imbalance"`
-	// Rebalance is the online-reshard health block.
-	Rebalance RebalanceStats `json:"rebalance"`
 	// QueueLen is the current ingest queue occupancy (of QueueDepth).
 	QueueLen   int `json:"queue_len"`
 	QueueDepth int `json:"queue_depth"`
@@ -82,6 +79,29 @@ func (e *Engine) Stats() Stats {
 	}
 	e.stateMu.RUnlock()
 	st.LivePairs = e.ResultCount()
-	st.Rebalance = e.RebalanceStats()
 	return st
+}
+
+// Imbalance is the current skew ratio: the most loaded shard's residents
+// over the per-shard mean (1 = perfectly balanced, K = everything on one
+// shard). An empty engine reports 1.
+func (e *Engine) Imbalance() float64 {
+	e.stateMu.RLock()
+	defer e.stateMu.RUnlock()
+	return imbalanceOf(e.shards)
+}
+
+func imbalanceOf(shards []*shard) float64 {
+	var max, total int64
+	for _, s := range shards {
+		r := s.residents.Load()
+		total += r
+		if r > max {
+			max = r
+		}
+	}
+	if total == 0 || len(shards) == 0 {
+		return 1
+	}
+	return float64(max) * float64(len(shards)) / float64(total)
 }

@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
 	"terids/internal/core"
 	"terids/internal/dataset"
+	"terids/internal/snapshot"
 	"terids/internal/tuple"
 )
 
@@ -66,11 +69,11 @@ func runProcessorOn(t *testing.T, f fixture, recs []*tuple.Record) ([][]core.Pai
 	return perArrival, proc.Results().Pairs()
 }
 
-// TestRebalanceEquivalenceUnderSkew is the acceptance property test of the
-// resharding contract: a Zipfian-skewed stream runs on a durable engine
-// with shard-count changes fired mid-stream, is SIGKILLed (directory
-// clone) at a pseudo-random point whose recovery replays ACROSS a reshard,
-// and continues on the recovered engine through more reshards. The merged
+// TestRebalanceEquivalenceUnderSkew is the acceptance property test of
+// changing K by restart: a Zipfian-skewed stream runs on a durable K=2
+// engine, is SIGKILLed (directory clone) at a pseudo-random point after a
+// checkpoint, recovers at K=3 — replaying the WAL suffix at the new K — and
+// finishes the stream there; a clean reboot then resumes at K=5. The merged
 // output — pair identities, order, probabilities, replayed and live alike —
 // must be byte-identical to an uninterrupted fixed-K run. Run under -race in
 // CI.
@@ -82,7 +85,7 @@ func TestRebalanceEquivalenceUnderSkew(t *testing.T) {
 
 	// The uninterrupted fixed-K reference engine: guards that the Processor
 	// reference and a plain K=4 engine agree on this skewed stream before
-	// any rebalancing enters the picture.
+	// any K change enters the picture.
 	fixed := newCollector()
 	engFixed, err := New(f.sh, Config{Core: f.cfg, Shards: 4, OnResult: fixed.onResult})
 	if err != nil {
@@ -104,13 +107,7 @@ func TestRebalanceEquivalenceUnderSkew(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(2024))
 	ckptAt := n/4 + rng.Intn(n/8)
-	rebAt := ckptAt + 1 + rng.Intn(n/8)  // rebalance AFTER the checkpoint...
-	kill := rebAt + 1 + rng.Intn(n/8)    // ...and the kill after that, so
-	rebAt2 := kill + 1 + rng.Intn(n/8)   // recovery replays across it; more
-	rebAt3 := rebAt2 + 1 + rng.Intn(n/8) // rebalances follow on the
-	if rebAt3 >= n {                     // recovered engine.
-		t.Fatalf("fixture stream too short: rebAt3=%d n=%d", rebAt3, n)
-	}
+	kill := ckptAt + 1 + rng.Intn(n/4) // recovery replays (ckptAt, kill] at the new K
 
 	dir := t.TempDir()
 	col1 := newCollector()
@@ -124,15 +121,8 @@ func TestRebalanceEquivalenceUnderSkew(t *testing.T) {
 		if err := d1.Eng.Submit(r); err != nil {
 			t.Fatal(err)
 		}
-		switch i + 1 {
-		case ckptAt:
+		if i+1 == ckptAt {
 			if _, err := d1.CheckpointNow(); err != nil {
-				t.Fatal(err)
-			}
-		case rebAt:
-			// K-change between the checkpoint and the kill: the recovery
-			// below replays the WAL straight across it.
-			if err := d1.Eng.Reshard(3); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -145,7 +135,7 @@ func TestRebalanceEquivalenceUnderSkew(t *testing.T) {
 
 	col2 := newCollector()
 	d2, err := OpenDurable(f.sh,
-		Config{Core: f.cfg, Shards: 0, OnResult: col2.onResult},
+		Config{Core: f.cfg, Shards: 3, OnResult: col2.onResult},
 		DurableConfig{Dir: crashDir, NoSync: true, SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -153,35 +143,16 @@ func TestRebalanceEquivalenceUnderSkew(t *testing.T) {
 	if d2.ResumeSeq() != int64(kill) {
 		t.Fatalf("recovered engine resumes at %d, want %d", d2.ResumeSeq(), kill)
 	}
-	// Shards: 0 adopts the checkpoint's K — taken at K=2 before the
-	// reshard, so recovery restores K=2 and replays across the K=3 epoch.
-	if got := d2.Eng.Stats().Shards; got != 2 {
-		t.Fatalf("recovery adopted K=%d, want the checkpoint's 2", got)
+	if got := d2.Eng.Stats().Shards; got != 3 {
+		t.Fatalf("recovery runs at K=%d, want the configured 3", got)
 	}
-	for i, r := range zs[kill:] {
+	for _, r := range zs[kill:] {
 		if err := d2.Eng.Submit(r); err != nil {
 			t.Fatal(err)
 		}
-		switch kill + i + 1 {
-		case rebAt2:
-			if err := d2.Eng.Reshard(5); err != nil {
-				t.Fatal(err)
-			}
-		case rebAt3:
-			if err := d2.Eng.Reshard(4); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
-	st := d2.Eng.Stats()
 	if err := d2.Close(true); err != nil {
 		t.Fatal(err)
-	}
-	if st.Rebalance.Rebalances != 2 {
-		t.Fatalf("recovered engine performed %d reshards, want 2", st.Rebalance.Rebalances)
-	}
-	if st.Shards != 4 {
-		t.Fatalf("final shard count %d, want 4", st.Shards)
 	}
 
 	for i := 0; i < n; i++ {
@@ -190,20 +161,20 @@ func TestRebalanceEquivalenceUnderSkew(t *testing.T) {
 			got, ok = col2.pairs[int64(i)]
 		}
 		if !ok {
-			t.Fatalf("arrival %d never finalized (ckpt=%d reb=%d kill=%d)", i, ckptAt, rebAt, kill)
+			t.Fatalf("arrival %d never finalized (ckpt=%d kill=%d)", i, ckptAt, kill)
 		}
 		if !samePairs(wantPerArrival[i], got) {
-			t.Fatalf("arrival %d (ckpt=%d reb=%d kill=%d reb2=%d reb3=%d): got %v, reference %v",
-				i, ckptAt, rebAt, kill, rebAt2, rebAt3, got, wantPerArrival[i])
+			t.Fatalf("arrival %d (ckpt=%d kill=%d): got %v, reference %v",
+				i, ckptAt, kill, got, wantPerArrival[i])
 		}
 	}
 	if !samePairs(wantFinal, d2.Eng.ResultSet()) {
-		t.Fatalf("final entity set differs after reshards + crash recovery (kill=%d)", kill)
+		t.Fatalf("final entity set differs after crash recovery at a new K (kill=%d)", kill)
 	}
 
-	// A clean reboot off the final checkpoint resumes at the stream's end
-	// with the last resharded K adopted.
-	d3, err := OpenDurable(f.sh, Config{Core: f.cfg, Shards: 0},
+	// A clean reboot off the final checkpoint, at yet another K, resumes at
+	// the stream's end with nothing to replay.
+	d3, err := OpenDurable(f.sh, Config{Core: f.cfg, Shards: 5},
 		DurableConfig{Dir: crashDir, NoSync: true, SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +182,8 @@ func TestRebalanceEquivalenceUnderSkew(t *testing.T) {
 	if d3.ResumeSeq() != int64(n) || d3.Replayed() != 0 {
 		t.Fatalf("clean restart resumes at %d with %d replayed, want %d/0", d3.ResumeSeq(), d3.Replayed(), n)
 	}
-	if got := d3.Eng.Stats().Shards; got != 4 {
-		t.Fatalf("clean restart adopted K=%d, want the resharded 4", got)
+	if got := d3.Eng.Stats().Shards; got != 5 {
+		t.Fatalf("clean restart runs at K=%d, want the configured 5", got)
 	}
 	if !samePairs(wantFinal, d3.Eng.ResultSet()) {
 		t.Fatal("clean restart entity set differs")
@@ -222,13 +193,42 @@ func TestRebalanceEquivalenceUnderSkew(t *testing.T) {
 	}
 }
 
+// withSlotTable re-encodes c the way builds with online resharding wrote
+// it — a v2 file whose slot table maps 256 hash slots onto c's shards — and
+// decodes it back.
+func withSlotTable(t *testing.T, c *snapshot.Checkpoint) *snapshot.Checkpoint {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := snapshot.Encode(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	const hdr = len(snapshot.Magic) + 10 // magic, version u16, length u64
+	b := buf.Bytes()
+	payload := bytes.Clone(b[hdr : len(b)-4-1]) // drop the crc and the empty table
+	rng := rand.New(rand.NewSource(7))
+	payload = binary.AppendUvarint(payload, 256)
+	for i := 0; i < 256; i++ {
+		payload = binary.AppendUvarint(payload, uint64(rng.Intn(c.Shards)))
+	}
+	out := append([]byte(snapshot.Magic), 0, 0)
+	binary.LittleEndian.PutUint16(out[len(snapshot.Magic):], snapshot.Version)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = append(out, payload...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	got, err := snapshot.Decode(bytes.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 // TestCheckpointCarriesLayout: a checkpoint carries K — which an auto-sizing
-// restore adopts — and no slot table; a table found in a file written by an
-// older build (v2/v3 still decode and validate one) is ignored, every
-// resident going to fnv32a(RID) mod K whatever it says.
+// restore adopts — and no slot table; a table found in a v2 file written by
+// an older build is skipped on decode, every resident going to
+// fnv32a(RID) mod K whatever it says.
 func TestCheckpointCarriesLayout(t *testing.T) {
 	f := loadFixture(t)
-	eng, err := New(f.sh, Config{Core: f.cfg, Shards: 2})
+	eng, err := New(f.sh, Config{Core: f.cfg, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +237,6 @@ func TestCheckpointCarriesLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := eng.Reshard(3); err != nil {
-		t.Fatal(err)
-	}
 	c, err := eng.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -247,20 +244,10 @@ func TestCheckpointCarriesLayout(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Shards != 3 || len(c.SlotTable) != 0 {
-		t.Fatalf("checkpoint carries K=%d and a %d-entry table, want the resharded K=3 and none", c.Shards, len(c.SlotTable))
+	if c.Shards != 3 {
+		t.Fatalf("checkpoint carries K=%d, want 3", c.Shards)
 	}
-	// The old file: the same state with a non-default 256-slot table, the
-	// way a build with layouts wrote it.
-	rng := rand.New(rand.NewSource(7))
-	c.SlotTable = make([]int, 256)
-	for i := range c.SlotTable {
-		c.SlotTable[i] = rng.Intn(c.Shards)
-	}
-	c = roundtrip(t, c) // through the binary format
-	if len(c.SlotTable) != 256 {
-		t.Fatalf("old file decoded with a %d-entry table, want 256", len(c.SlotTable))
-	}
+	c = withSlotTable(t, c)
 
 	cases := []struct {
 		name   string
@@ -318,8 +305,7 @@ func TestAdoptionCapsShardCount(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tamper: an absurd shard count (it passes Validate, which only bounds
-	// a slot table against it).
+	// Tamper: an absurd shard count (Validate does not bound it).
 	c.Shards = 100000
 	e2, err := NewFromSnapshot(f.sh, Config{Core: f.cfg, Shards: 0}, c)
 	if err != nil {
@@ -331,92 +317,52 @@ func TestAdoptionCapsShardCount(t *testing.T) {
 	}
 }
 
-// TestRebalanceClosedAndInvalid covers the error contract.
-func TestRebalanceClosedAndInvalid(t *testing.T) {
+// TestRebalanceResizesImputeWorkers pins the impute-pool sizing contract
+// across a K change by restart: the pool has one worker per shard, so a K=2
+// checkpoint restored at K=4 runs four workers, and the engine keeps
+// processing correctly after the resize.
+func TestRebalanceResizesImputeWorkers(t *testing.T) {
 	f := loadFixture(t)
-	eng, err := New(f.sh, Config{Core: f.cfg, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Reshard(0); err == nil {
-		t.Fatal("K=0 reshard accepted")
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Reshard(2); err != ErrClosed {
-		t.Fatalf("reshard after close: %v, want ErrClosed", err)
-	}
-}
+	_, wantFinal := runProcessor(t, f)
+	half := len(f.stream) / 2
 
-// TestReshardRefusesOverMaxShards: the shard cap is the engine's own, not
-// only its HTTP front end's — Reshard(MaxShards+1) is refused before the
-// barrier, and the engine's state, layout and reshard counters are exactly
-// what they were.
-func TestReshardRefusesOverMaxShards(t *testing.T) {
-	f := loadFixture(t)
 	eng, err := New(f.sh, Config{Core: f.cfg, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	for _, r := range f.stream[:40] {
+	if got := eng.Stats().ImputeWorkers; got != 2 {
+		t.Fatalf("K=2 engine starts with %d impute workers, want 2", got)
+	}
+	for _, r := range f.stream[:half] {
 		if err := eng.Submit(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before, err := eng.Checkpoint()
+	c, err := eng.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Reshard(MaxShards + 1); err == nil {
-		t.Fatalf("reshard to %d shards accepted, cap is %d", MaxShards+1, MaxShards)
-	}
-	after, err := eng.Checkpoint()
-	if err != nil {
+	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before, after) {
-		t.Fatal("refused reshard changed the engine state")
-	}
-	if st := eng.Stats(); st.Shards != 2 || st.Rebalance != (RebalanceStats{}) {
-		t.Fatalf("refused reshard left Shards=%d rebalance=%+v, want 2 and zero", st.Shards, st.Rebalance)
-	}
-}
 
-// TestRebalanceResizesImputeWorkers pins the impute-pool sizing contract
-// across reshards: the pool has one worker per shard, so it follows K, and
-// the engine keeps processing correctly after the resize.
-func TestRebalanceResizesImputeWorkers(t *testing.T) {
-	f := loadFixture(t)
-
-	auto, err := New(f.sh, Config{Core: f.cfg, Shards: 2})
+	eng2, err := NewFromSnapshot(f.sh, Config{Core: f.cfg, Shards: 4}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer auto.Close()
-	if got := auto.Stats().ImputeWorkers; got != 2 {
-		t.Fatalf("auto-sized engine starts with %d impute workers, want 2", got)
+	if st := eng2.Stats(); st.Shards != 4 || st.ImputeWorkers != 4 {
+		t.Fatalf("restore at K=4 runs %d shards and %d impute workers, want 4 and 4", st.Shards, st.ImputeWorkers)
 	}
-	for _, r := range f.stream[:len(f.stream)/2] {
-		if err := auto.Submit(r); err != nil {
+	for _, r := range f.stream[half:] {
+		if err := eng2.Submit(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := auto.Reshard(4); err != nil {
+	if err := eng2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := auto.Stats()
-	if st.Shards != 4 {
-		t.Fatalf("reshard left Shards=%d, want 4", st.Shards)
-	}
-	if st.ImputeWorkers != 4 {
-		t.Fatalf("auto-sized impute pool is %d after reshard to K=4, want 4", st.ImputeWorkers)
-	}
-	for _, r := range f.stream[len(f.stream)/2:] {
-		if err := auto.Submit(r); err != nil {
-			t.Fatal(err)
-		}
+	if !samePairs(wantFinal, eng2.ResultSet()) {
+		t.Fatal("final entity set differs after the restore at K=4")
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // region — but not dynamic calls, which are only flagged when they appear
 // directly in a lock region. sync.Cond.Wait and sync.WaitGroup.Wait are
 // deliberately permitted: the engine parks on both under subMu by design
-// (checkpoint drains, rebalance quiescence), with the condition's waker not
+// (checkpoint drains, state-swap quiescence), with the condition's waker not
 // requiring the lock.
 var Locksend = &Analyzer{
 	Name: "locksend",

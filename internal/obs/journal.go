@@ -1,8 +1,8 @@
 // The event journal is the narrative half of the observability subsystem:
 // a bounded, concurrency-safe ring of structured lifecycle events — things
-// that happen occasionally and matter afterwards (rebalances, checkpoints,
-// WAL segment rotation, deep replays, throttle episodes, SLO state
-// transitions, recovery summaries). Metrics answer "how fast"; the journal
+// that happen occasionally and matter afterwards (checkpoints, WAL segment
+// rotation, deep replays, follower catch-ups and promotions, throttle
+// episodes, SLO state transitions, recovery summaries). Metrics answer "how fast"; the journal
 // answers "what happened right before". It is served live at GET /events
 // and snapshotted into every flight-recorder bundle, so the sequence of
 // events leading up to a stall or crash survives the process.
@@ -28,8 +28,8 @@ type Event struct {
 	Seq int64 `json:"seq"`
 	// Time is when the event was recorded.
 	Time time.Time `json:"time"`
-	// Type is the event's machine-readable kind (e.g. "rebalance_done",
-	// "checkpoint", "wal_rotate", "slo_transition").
+	// Type is the event's machine-readable kind (e.g. "checkpoint",
+	// "wal_rotate", "follower_promote", "slo_transition").
 	Type string `json:"type"`
 	// Msg is an optional human-readable one-liner.
 	Msg string `json:"msg,omitempty"`
@@ -46,7 +46,7 @@ type Journal struct {
 }
 
 // defaultJournalCap bounds the process-wide journal: lifecycle events are
-// rare (per rebalance / checkpoint / segment, not per arrival), so 1024
+// rare (per checkpoint / segment / promotion, not per arrival), so 1024
 // spans hours to days of history in a few hundred KB.
 const defaultJournalCap = 1024
 

@@ -89,8 +89,8 @@ func TestJournalOldestSeq(t *testing.T) {
 
 func TestJournalWriteNDJSON(t *testing.T) {
 	j := NewJournal(8)
-	j.Record("rebalance_start", "trigger manual", map[string]any{"trigger": "manual"})
-	j.Record("rebalance_done", "", map[string]any{"k": 4})
+	j.Record("checkpoint", "checkpoint persisted", map[string]any{"seq": 128})
+	j.Record("follower_promote", "", map[string]any{"k": 4})
 	var buf bytes.Buffer
 	if err := j.WriteNDJSON(&buf, 0); err != nil {
 		t.Fatal(err)

@@ -39,13 +39,12 @@ type DeltaPair struct {
 type Delta struct {
 	// BaseSeq is the watermark of the checkpoint this delta applies to.
 	BaseSeq int64
-	// Seq, Completed, Rejected, Shards, SlotTable mirror Checkpoint at the
-	// new watermark.
+	// Seq, Completed, Rejected, Shards mirror Checkpoint at the new
+	// watermark.
 	Seq       int64
 	Completed int64
 	Rejected  int64
 	Shards    int
-	SlotTable []int
 
 	// RemovedRIDs names the base residents no longer window-live at Seq (or
 	// replaced by a re-arrival under the same RID), in base order.
@@ -101,17 +100,6 @@ func (d *Delta) Validate() error {
 			return fmt.Errorf("snapshot: delta added pair %d (%q,%q) not RID-normalized", i, p.A, p.B)
 		}
 	}
-	if len(d.SlotTable) > 0 {
-		if d.Shards < 1 {
-			return fmt.Errorf("snapshot: delta slot table with %d entries but shard count %d",
-				len(d.SlotTable), d.Shards)
-		}
-		for s, sh := range d.SlotTable {
-			if sh < 0 || sh >= d.Shards {
-				return fmt.Errorf("snapshot: delta slot %d assigned to shard %d of %d", s, sh, d.Shards)
-			}
-		}
-	}
 	return nil
 }
 
@@ -119,7 +107,7 @@ func (d *Delta) Validate() error {
 // configuration — the precondition for expressing one as a diff of the other.
 func sameConfig(a, b *Checkpoint) bool {
 	return a.Streams == b.Streams && a.WindowSize == b.WindowSize &&
-		a.TimeSpan == b.TimeSpan && a.Gamma == b.Gamma && a.Alpha == b.Alpha &&
+		a.Gamma == b.Gamma && a.Alpha == b.Alpha &&
 		slices.Equal(a.Keywords, b.Keywords) && slices.Equal(a.SchemaAttrs, b.SchemaAttrs)
 }
 
@@ -143,7 +131,6 @@ func ComputeDelta(base, cur *Checkpoint) (*Delta, error) {
 		Completed: cur.Completed,
 		Rejected:  cur.Rejected,
 		Shards:    cur.Shards,
-		SlotTable: slices.Clone(cur.SlotTable),
 	}
 	baseRes := make(map[string]*Resident, len(base.Residents))
 	for i := range base.Residents {
@@ -211,12 +198,10 @@ func ApplyDelta(base *Checkpoint, d *Delta) (*Checkpoint, error) {
 		Shards:      d.Shards,
 		Streams:     base.Streams,
 		WindowSize:  base.WindowSize,
-		TimeSpan:    base.TimeSpan,
 		Gamma:       base.Gamma,
 		Alpha:       base.Alpha,
 		Keywords:    slices.Clone(base.Keywords),
 		SchemaAttrs: slices.Clone(base.SchemaAttrs),
-		SlotTable:   slices.Clone(d.SlotTable),
 	}
 	removed := make(map[string]bool, len(d.RemovedRIDs))
 	for _, rid := range d.RemovedRIDs {
@@ -284,10 +269,7 @@ func EncodeDelta(w io.Writer, d *Delta) error {
 	p.varint(d.Completed)
 	p.varint(d.Rejected)
 	p.varint(int64(d.Shards))
-	p.uvarint(uint64(len(d.SlotTable)))
-	for _, sh := range d.SlotTable {
-		p.uvarint(uint64(sh))
-	}
+	p.uvarint(0) // empty slot table
 	p.uvarint(uint64(len(d.RemovedRIDs)))
 	for _, rid := range d.RemovedRIDs {
 		p.str(rid)
@@ -339,12 +321,7 @@ func decodeDeltaPayload(payload []byte) (*Delta, error) {
 		Rejected:  r.varint(),
 		Shards:    int(r.varint()),
 	}
-	if n := r.count(); r.err == nil && n > 0 {
-		d.SlotTable = make([]int, 0, prealloc(n))
-		for i := 0; i < n && r.err == nil; i++ {
-			d.SlotTable = append(d.SlotTable, int(r.uvarint()))
-		}
-	}
+	r.skipSlotTable()
 	if n := r.count(); r.err == nil {
 		d.RemovedRIDs = make([]string, 0, prealloc(n))
 		for i := 0; i < n && r.err == nil; i++ {

@@ -15,10 +15,6 @@ func evolvedCheckpoint() *Checkpoint {
 	c.Completed = 20
 	c.Rejected = 2
 	c.Shards = 2
-	c.SlotTable = make([]int, 256)
-	for i := range c.SlotTable {
-		c.SlotTable[i] = i % c.Shards
-	}
 	// "a1" (index 0) expired; "b9" and "c2" survive; "d4" and "e5" arrived.
 	c.Residents = []Resident{
 		c.Residents[1],

@@ -6,24 +6,6 @@ import (
 	"testing"
 )
 
-// fuzzSeed encodes a representative checkpoint (with and without the v2
-// slot table) so the mutator starts from real wire bytes.
-func fuzzSeed(f *testing.F, slotTable bool) []byte {
-	f.Helper()
-	c := sampleCheckpoint()
-	if slotTable {
-		c.SlotTable = make([]int, 256)
-		for i := range c.SlotTable {
-			c.SlotTable[i] = i % c.Shards
-		}
-	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, c); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // deltaSeed encodes a representative v3 delta checkpoint so the mutator
 // also starts from real delta wire bytes.
 func deltaSeed(f *testing.F) []byte {
@@ -46,8 +28,7 @@ func deltaSeed(f *testing.F) []byte {
 // structurally valid (Validate passes) and re-encodable, so a recovered
 // checkpoint can always be checkpointed again.
 func FuzzSnapshotDecode(f *testing.F) {
-	plain := fuzzSeed(f, false)
-	layout := fuzzSeed(f, true)
+	plain, layout := slotTableFile(f)
 	delta := deltaSeed(f)
 	f.Add(plain)
 	f.Add(layout)

@@ -42,9 +42,11 @@ import (
 const Magic = "TERIDSCP"
 
 // Version is the current full-checkpoint format version. Version 2 appends
-// the shard layout slot table (adaptive rebalancing); Decode still reads
-// version-1 files, which simply carry no layout (SlotTable nil — restore
-// derives the default modulo layout).
+// a shard layout slot table, which this build writes empty and skips on read
+// (placement is fnv32a(RID) mod K, derived on restore); Decode still reads
+// version-1 files, which carry none. The header's time-span slot is written
+// as 0 and a file with any other value is refused: only count-based windows
+// exist.
 const Version = 2
 
 // DeltaVersion is the format version of incremental (delta) checkpoints: a
@@ -109,7 +111,6 @@ type Checkpoint struct {
 	// hold.
 	Streams     int
 	WindowSize  int
-	TimeSpan    int64
 	Gamma       float64
 	Alpha       float64
 	Keywords    []string
@@ -119,14 +120,6 @@ type Checkpoint struct {
 	Residents []Resident
 	// Pairs is the live entity set.
 	Pairs []PairRef
-
-	// SlotTable is the engine's topic-hash→shard layout at capture time
-	// (format v2+): entry s names the shard owning hash slot s, every value
-	// in [0, Shards). Empty for version-1 checkpoints, single-threaded
-	// snapshots, and engines on the default modulo layout. Like Shards it is
-	// advisory: restore adopts it only when the shard counts line up, because
-	// placement never affects which pairs are emitted.
-	SlotTable []int
 }
 
 // Validate checks the checkpoint's structural invariants: ascending arrival
@@ -174,17 +167,6 @@ func (c *Checkpoint) Validate() error {
 				i, c.Residents[p.A].RID, c.Residents[p.B].RID)
 		}
 	}
-	if len(c.SlotTable) > 0 {
-		if c.Shards < 1 {
-			return fmt.Errorf("snapshot: slot table with %d entries but shard count %d",
-				len(c.SlotTable), c.Shards)
-		}
-		for s, sh := range c.SlotTable {
-			if sh < 0 || sh >= c.Shards {
-				return fmt.Errorf("snapshot: slot %d assigned to shard %d of %d", s, sh, c.Shards)
-			}
-		}
-	}
 	return nil
 }
 
@@ -229,7 +211,7 @@ func Encode(w io.Writer, c *Checkpoint) error {
 	p.varint(int64(c.Shards))
 	p.varint(int64(c.Streams))
 	p.varint(int64(c.WindowSize))
-	p.varint(c.TimeSpan)
+	p.varint(0) // time span: count-based windows only
 	p.float(c.Gamma)
 	p.float(c.Alpha)
 	p.uvarint(uint64(len(c.Keywords)))
@@ -282,10 +264,7 @@ func Encode(w io.Writer, c *Checkpoint) error {
 		p.uvarint(uint64(pr.B))
 		p.float(pr.Prob)
 	}
-	p.uvarint(uint64(len(c.SlotTable)))
-	for _, sh := range c.SlotTable {
-		p.uvarint(uint64(sh))
-	}
+	p.uvarint(0) // empty v2 slot table
 
 	return writeEnvelope(w, Version, p.buf.Bytes())
 }
@@ -377,6 +356,14 @@ func (r *reader) str() string {
 	return string(b)
 }
 
+// skipSlotTable reads and discards a v2/v3 shard layout slot table.
+func (r *reader) skipSlotTable() {
+	n := r.count()
+	for i := 0; i < n && r.err == nil; i++ {
+		r.uvarint()
+	}
+}
+
 func (r *reader) float() float64 {
 	if r.err != nil {
 		return 0
@@ -450,10 +437,12 @@ func decodeCheckpointPayload(ver uint16, payload []byte) (*Checkpoint, error) {
 		Shards:     int(r.varint()),
 		Streams:    int(r.varint()),
 		WindowSize: int(r.varint()),
-		TimeSpan:   r.varint(),
-		Gamma:      r.float(),
-		Alpha:      r.float(),
 	}
+	if span := r.varint(); r.err == nil && span != 0 {
+		return nil, fmt.Errorf("snapshot: checkpoint time span %d: time-based windows are not supported", span)
+	}
+	c.Gamma = r.float()
+	c.Alpha = r.float()
 	// Sections grow by append with a capped initial capacity: a declared
 	// count never sizes an allocation beyond maxPrealloc, so memory use is
 	// bounded by what the payload actually contains — a corrupt count fails
@@ -512,12 +501,7 @@ func decodeCheckpointPayload(ver uint16, payload []byte) (*Checkpoint, error) {
 		}
 	}
 	if ver >= 2 {
-		if n := r.count(); r.err == nil && n > 0 {
-			c.SlotTable = make([]int, 0, prealloc(n))
-			for i := 0; i < n && r.err == nil; i++ {
-				c.SlotTable = append(c.SlotTable, int(r.uvarint()))
-			}
-		}
+		r.skipSlotTable()
 	}
 	if r.err != nil {
 		return nil, r.err

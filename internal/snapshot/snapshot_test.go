@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -46,7 +48,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 	if got.Seq != c.Seq || got.Completed != c.Completed || got.Rejected != c.Rejected ||
 		got.Shards != c.Shards || got.Streams != c.Streams || got.WindowSize != c.WindowSize ||
-		got.TimeSpan != c.TimeSpan || got.Gamma != c.Gamma || got.Alpha != c.Alpha {
+		got.Gamma != c.Gamma || got.Alpha != c.Alpha {
 		t.Fatalf("header mismatch: %+v vs %+v", got, c)
 	}
 	if len(got.Keywords) != len(c.Keywords) || got.Keywords[0] != "deep" {
@@ -148,6 +150,154 @@ func TestDecodeRejectsOversizedCounts(t *testing.T) {
 	_, err := Decode(bytes.NewReader(buf.Bytes()))
 	if err == nil || !strings.Contains(err.Error(), "section length") {
 		t.Fatalf("crafted-count decode err = %v, want section-length rejection", err)
+	}
+}
+
+// headerLen is the envelope bytes before the payload: magic, version u16,
+// payload length u64.
+const headerLen = len(Magic) + 10
+
+// reframe wraps a (possibly altered) payload in a fresh envelope with a
+// valid checksum.
+func reframe(tb testing.TB, ver uint16, payload []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := writeEnvelope(&buf, ver, payload); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// slotTableFile returns the sample checkpoint's encoding and the same v2
+// file with a non-empty 256-entry slot table, the way builds with online
+// resharding wrote it.
+func slotTableFile(tb testing.TB) (plain, withTable []byte) {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := Encode(&buf, sampleCheckpoint()); err != nil {
+		tb.Fatal(err)
+	}
+	plain = buf.Bytes()
+	payload := plain[headerLen : len(plain)-4]
+	if payload[len(payload)-1] != 0 {
+		tb.Fatal("encoder did not end the payload with an empty slot table")
+	}
+	var table writer
+	table.uvarint(256)
+	for i := 0; i < 256; i++ {
+		table.uvarint(uint64(i % 4))
+	}
+	spliced := append(bytes.Clone(payload[:len(payload)-1]), table.buf.Bytes()...)
+	return plain, reframe(tb, Version, spliced)
+}
+
+// TestDecodeRefusesTimeSpan: the header's time-span slot is always written
+// as 0; a file carrying any other value asks for a time-based window, which
+// does not exist, and is refused by name.
+func TestDecodeRefusesTimeSpan(t *testing.T) {
+	c := sampleCheckpoint()
+	var buf bytes.Buffer
+	if err := Encode(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	var pre writer // the six header varints ahead of the time span
+	for _, v := range []int64{c.Seq, c.Completed, c.Rejected, int64(c.Shards), int64(c.Streams), int64(c.WindowSize)} {
+		pre.varint(v)
+	}
+	payload := bytes.Clone(buf.Bytes()[headerLen : buf.Len()-4])
+	if payload[pre.buf.Len()] != 0 {
+		t.Fatalf("time-span slot holds %#x, want the 0 written for count-based windows", payload[pre.buf.Len()])
+	}
+	payload[pre.buf.Len()] = 0x0a // varint 5
+	_, err := Decode(bytes.NewReader(reframe(t, Version, payload)))
+	if err == nil || !strings.Contains(err.Error(), "time span 5") {
+		t.Fatalf("decode of a time-span-5 checkpoint: err = %v, want a refusal naming the time span", err)
+	}
+}
+
+// TestDecodeSkipsSlotTable: a v2 file whose slot table is non-empty — the
+// way builds with online resharding wrote it — decodes to the same
+// checkpoint as the table-less file, and re-encodes to exactly those bytes.
+func TestDecodeSkipsSlotTable(t *testing.T) {
+	plain, withTable := slotTableFile(t)
+	got, err := Decode(bytes.NewReader(withTable))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sampleCheckpoint()) {
+		t.Fatalf("table-bearing file decoded to %+v, want the sample checkpoint", got)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), plain) {
+		t.Fatal("re-encoding a table-bearing file differs from the table-less encoding")
+	}
+}
+
+// TestCommittedSeedsReencode: every checkpoint in the committed fuzz corpus
+// that decodes re-encodes to the same bytes, except that a slot table is
+// written back empty — so the table-bearing v2 seed re-encodes to the plain
+// v2 seed, and the v3 delta seed to the delta of the sample checkpoints.
+// The corrupt seeds still fail to decode.
+func TestCommittedSeedsReencode(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzSnapshotDecode")
+	seed := func(name string) []byte {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		if !ok || !strings.HasSuffix(lit, ")") {
+			t.Fatalf("%s: not a []byte fuzz corpus entry", name)
+		}
+		b, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return []byte(b)
+	}
+	reencode := func(name string) []byte {
+		t.Helper()
+		c, d, err := DecodeAny(bytes.NewReader(seed(name)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if c != nil {
+			err = Encode(&buf, c)
+		} else {
+			err = EncodeDelta(&buf, d)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return buf.Bytes()
+	}
+	plain := seed("seed-v2-plain")
+	if !bytes.Equal(reencode("seed-v2-plain"), plain) {
+		t.Error("seed-v2-plain does not re-encode to its own bytes")
+	}
+	if !bytes.Equal(reencode("seed-v2-slot-table"), plain) {
+		t.Error("seed-v2-slot-table does not re-encode to seed-v2-plain")
+	}
+	d, err := ComputeDelta(sampleCheckpoint(), evolvedCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := EncodeDelta(&want, d); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reencode("seed-v3-delta"), want.Bytes()) {
+		t.Error("seed-v3-delta does not re-encode to the sample delta")
+	}
+	for _, name := range []string{"seed-flipped-byte", "seed-truncated", "seed-v3-delta-corrupt", "seed-v3-delta-truncated"} {
+		if _, _, err := DecodeAny(bytes.NewReader(seed(name))); err == nil {
+			t.Errorf("%s decoded without error", name)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stream models incomplete data streams (Definition 1) and the
-// count-based sliding window of Definition 2, plus the time-based window
-// variant the paper sketches as an extension (Section 2.1).
+// count-based sliding window of Definition 2: each stream's window holds its
+// w most recent tuples.
 package stream
 
 import (
@@ -9,37 +9,6 @@ import (
 
 	"terids/internal/tuple"
 )
-
-// Source yields records in arrival order. Next returns false when the
-// stream is exhausted.
-type Source interface {
-	Next() (*tuple.Record, bool)
-}
-
-// SliceSource replays a fixed slice of records. The zero value is an
-// exhausted source.
-type SliceSource struct {
-	recs []*tuple.Record
-	i    int
-}
-
-// NewSliceSource wraps recs (replayed in the given order).
-func NewSliceSource(recs []*tuple.Record) *SliceSource {
-	return &SliceSource{recs: recs}
-}
-
-// Next implements Source.
-func (s *SliceSource) Next() (*tuple.Record, bool) {
-	if s.i >= len(s.recs) {
-		return nil, false
-	}
-	r := s.recs[s.i]
-	s.i++
-	return r, true
-}
-
-// Len reports the number of records remaining.
-func (s *SliceSource) Len() int { return len(s.recs) - s.i }
 
 // Interleave merges records from multiple per-stream slices into a single
 // arrival order sorted by Seq (ties broken by stream id then RID, for
@@ -80,21 +49,6 @@ func NewWindow(w int) (*Window, error) {
 	return &Window{w: w, buf: make([]*tuple.Record, w)}, nil
 }
 
-// MustWindow is NewWindow that panics on error.
-func MustWindow(w int) *Window {
-	win, err := NewWindow(w)
-	if err != nil {
-		panic(err)
-	}
-	return win
-}
-
-// Cap returns the window capacity w.
-func (w *Window) Cap() int { return w.w }
-
-// Len returns the number of tuples currently held.
-func (w *Window) Len() int { return w.count }
-
 // Push appends a newly arriving tuple; if the window was full, the oldest
 // tuple is evicted and returned (expired, nil otherwise).
 func (w *Window) Push(r *tuple.Record) (expired *tuple.Record) {
@@ -119,8 +73,9 @@ func (w *Window) Each(visit func(*tuple.Record) bool) {
 	}
 }
 
-// Snapshot returns the live tuples oldest-first.
-func (w *Window) Snapshot() []*tuple.Record {
+// Export returns the live tuples oldest-first: the window's restorable
+// state is exactly its live tuples.
+func (w *Window) Export() []*tuple.Record {
 	out := make([]*tuple.Record, 0, w.count)
 	w.Each(func(r *tuple.Record) bool {
 		out = append(out, r)
@@ -128,10 +83,6 @@ func (w *Window) Snapshot() []*tuple.Record {
 	})
 	return out
 }
-
-// Export is Snapshot under the checkpoint naming convention: the window's
-// restorable state is exactly its live tuples, oldest-first.
-func (w *Window) Export() []*tuple.Record { return w.Snapshot() }
 
 // Import restores exported tuples (oldest-first) into an empty window. It
 // refuses to evict: more tuples than the capacity is a corrupt checkpoint.
@@ -170,9 +121,6 @@ func NewMultiWindow(n, w int) (*MultiWindow, error) {
 	return mw, nil
 }
 
-// Streams returns the number of streams.
-func (m *MultiWindow) Streams() int { return len(m.wins) }
-
 // Push routes r to its stream's window and returns the evicted tuple, if
 // any.
 func (m *MultiWindow) Push(r *tuple.Record) (*tuple.Record, error) {
@@ -183,25 +131,13 @@ func (m *MultiWindow) Push(r *tuple.Record) (*tuple.Record, error) {
 	return m.wins[r.Stream].Push(r), nil
 }
 
-// Window returns stream i's window.
-func (m *MultiWindow) Window(i int) *Window { return m.wins[i] }
-
-// Len returns the total number of live tuples across all streams.
-func (m *MultiWindow) Len() int {
-	n := 0
-	for _, w := range m.wins {
-		n += w.Len()
-	}
-	return n
-}
-
 // Export returns every stream's live tuples, interleaved back into one
 // global sequence: per-stream oldest-first order merged by Seq (ties broken
 // deterministically), which is the order Import replays them in.
 func (m *MultiWindow) Export() []*tuple.Record {
 	per := make([][]*tuple.Record, len(m.wins))
 	for i, w := range m.wins {
-		per[i] = w.Snapshot()
+		per[i] = w.Export()
 	}
 	return Interleave(per...)
 }

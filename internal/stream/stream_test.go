@@ -13,22 +13,12 @@ func rec(rid string, stream int, seq int64) *tuple.Record {
 	return tuple.MustRecord(testSchema, rid, stream, seq, []string{"v " + rid})
 }
 
-func TestSliceSource(t *testing.T) {
-	rs := []*tuple.Record{rec("r1", 0, 0), rec("r2", 0, 1)}
-	s := NewSliceSource(rs)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+func mustWindow(w int) *Window {
+	win, err := NewWindow(w)
+	if err != nil {
+		panic(err)
 	}
-	got, ok := s.Next()
-	if !ok || got.RID != "r1" {
-		t.Fatalf("first Next = %v, %v", got, ok)
-	}
-	if got, ok = s.Next(); !ok || got.RID != "r2" {
-		t.Fatalf("second Next = %v, %v", got, ok)
-	}
-	if _, ok = s.Next(); ok {
-		t.Fatal("exhausted source must return false")
-	}
+	return win
 }
 
 func TestInterleave(t *testing.T) {
@@ -44,8 +34,8 @@ func TestInterleave(t *testing.T) {
 }
 
 func TestWindowPushEvict(t *testing.T) {
-	w := MustWindow(3)
-	if w.Cap() != 3 || w.Len() != 0 {
+	w := mustWindow(3)
+	if len(w.Export()) != 0 {
 		t.Fatal("fresh window state wrong")
 	}
 	for i := 0; i < 3; i++ {
@@ -61,20 +51,20 @@ func TestWindowPushEvict(t *testing.T) {
 	if exp == nil || exp.RID != "r1" {
 		t.Fatalf("expected r1 evicted, got %v", exp)
 	}
-	snap := w.Snapshot()
+	live := w.Export()
 	want := []string{"r2", "r3", "r4"}
-	if len(snap) != 3 {
-		t.Fatalf("Snapshot len = %d", len(snap))
+	if len(live) != 3 {
+		t.Fatalf("Export len = %d", len(live))
 	}
-	for i, r := range snap {
+	for i, r := range live {
 		if r.RID != want[i] {
-			t.Fatalf("snapshot[%d] = %s, want %s", i, r.RID, want[i])
+			t.Fatalf("Export()[%d] = %s, want %s", i, r.RID, want[i])
 		}
 	}
 }
 
 func TestWindowEachEarlyStop(t *testing.T) {
-	w := MustWindow(5)
+	w := mustWindow(5)
 	for i := 0; i < 5; i++ {
 		w.Push(rec(fmt.Sprintf("r%d", i), 0, int64(i)))
 	}
@@ -89,7 +79,7 @@ func TestWindowEachEarlyStop(t *testing.T) {
 }
 
 func TestWindowSizeOne(t *testing.T) {
-	w := MustWindow(1)
+	w := mustWindow(1)
 	if exp := w.Push(rec("a", 0, 0)); exp != nil {
 		t.Fatal("first push must not evict")
 	}
@@ -109,9 +99,6 @@ func TestMultiWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mw.Streams() != 2 {
-		t.Fatal("Streams != 2")
-	}
 	for i := 0; i < 2; i++ {
 		if _, err := mw.Push(rec(fmt.Sprintf("a%d", i), 0, int64(i))); err != nil {
 			t.Fatal(err)
@@ -120,16 +107,16 @@ func TestMultiWindow(t *testing.T) {
 	if _, err := mw.Push(rec("b0", 1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if mw.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", mw.Len())
+	if n := len(mw.Export()); n != 3 {
+		t.Fatalf("%d live tuples, want 3", n)
 	}
 	exp, err := mw.Push(rec("a2", 0, 3))
 	if err != nil || exp == nil || exp.RID != "a0" {
 		t.Fatalf("expected a0 evicted from stream 0, got %v, %v", exp, err)
 	}
 	// Stream 1 untouched.
-	if mw.Window(1).Len() != 1 {
-		t.Fatal("stream 1 window must be unaffected")
+	if n := len(mw.wins[1].Export()); n != 1 {
+		t.Fatalf("stream 1 window holds %d tuples, want 1 (unaffected)", n)
 	}
 	if _, err := mw.Push(rec("x", 7, 9)); err == nil {
 		t.Fatal("bad stream id must error")
@@ -146,52 +133,8 @@ func TestMultiWindow(t *testing.T) {
 	}
 }
 
-func TestTimeWindow(t *testing.T) {
-	tw, err := NewTimeWindow(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seq := range []int64{1, 3, 5, 12} {
-		if err := tw.Push(rec(fmt.Sprintf("r%d", seq), 0, seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// now=12, span=10: cutoff 2 -> r1 expired.
-	expired := tw.Advance(12)
-	if len(expired) != 1 || expired[0].Seq != 1 {
-		t.Fatalf("expired = %v, want [seq 1]", expired)
-	}
-	if tw.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tw.Len())
-	}
-	// Advance far: everything expires.
-	expired = tw.Advance(100)
-	if len(expired) != 3 {
-		t.Fatalf("expired = %v, want 3 tuples", expired)
-	}
-	if tw.Len() != 0 {
-		t.Fatal("window must now be empty")
-	}
-	if got := tw.Advance(200); got != nil {
-		t.Fatal("advancing an empty window must return nil")
-	}
-}
-
-func TestTimeWindowOutOfOrder(t *testing.T) {
-	tw, _ := NewTimeWindow(5)
-	if err := tw.Push(rec("a", 0, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.Push(rec("b", 0, 9)); err == nil {
-		t.Fatal("out-of-order push must fail")
-	}
-	if _, err := NewTimeWindow(0); err == nil {
-		t.Fatal("span 0 must fail")
-	}
-}
-
 func TestWindowExportImport(t *testing.T) {
-	w := MustWindow(3)
+	w := mustWindow(3)
 	for i := 0; i < 5; i++ {
 		w.Push(rec(fmt.Sprintf("r%d", i), 0, int64(i)))
 	}
@@ -200,7 +143,7 @@ func TestWindowExportImport(t *testing.T) {
 		t.Fatalf("export %v", exp)
 	}
 
-	w2 := MustWindow(3)
+	w2 := mustWindow(3)
 	if err := w2.Import(exp); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +155,7 @@ func TestWindowExportImport(t *testing.T) {
 	if err := w2.Import(exp); err == nil {
 		t.Fatal("import into non-empty window must fail")
 	}
-	small := MustWindow(2)
+	small := mustWindow(2)
 	if err := small.Import(exp); err == nil {
 		t.Fatal("import beyond capacity must fail")
 	}
@@ -243,8 +186,8 @@ func TestMultiWindowExportImport(t *testing.T) {
 	if err := m2.Import(exp); err != nil {
 		t.Fatal(err)
 	}
-	if m2.Len() != 4 || m2.Window(0).Len() != 2 || m2.Window(1).Len() != 2 {
-		t.Fatalf("imported layout %d/%d/%d", m2.Len(), m2.Window(0).Len(), m2.Window(1).Len())
+	if n0, n1 := len(m2.wins[0].Export()), len(m2.wins[1].Export()); n0 != 2 || n1 != 2 {
+		t.Fatalf("imported layout %d/%d, want 2/2", n0, n1)
 	}
 	// Per-stream eviction order survives the roundtrip: one push fills
 	// stream 0's window (cap 3), the next evicts the oldest resident.
@@ -270,42 +213,5 @@ func TestMultiWindowExportImport(t *testing.T) {
 	m4, _ := NewMultiWindow(2, 3)
 	if err := m4.Import(overflow); err == nil {
 		t.Fatal("import overflowing a stream window must fail")
-	}
-}
-
-func TestTimeWindowExportImport(t *testing.T) {
-	tw, err := NewTimeWindow(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, seq := range []int64{1, 3, 7, 8} {
-		if err := tw.Push(rec(fmt.Sprintf("t%d", i), 0, seq)); err != nil {
-			t.Fatal(err)
-		}
-		tw.Advance(seq)
-	}
-	// seq 1 expired at Advance(7), seq 3 at Advance(8); live: 7, 8.
-	exp := tw.Export()
-	if len(exp) != 2 {
-		t.Fatalf("export has %d tuples, want 2", len(exp))
-	}
-
-	tw2, err := NewTimeWindow(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tw2.Import(exp); err != nil {
-		t.Fatal(err)
-	}
-	// The clock was recovered: advancing to 12 expires seq 7 (7 <= 12-5) in
-	// both windows identically.
-	want := tw.Advance(12)
-	got := tw2.Advance(12)
-	if len(want) != 1 || len(got) != 1 || got[0].RID != want[0].RID {
-		t.Fatalf("restored time window expired %v, original %v", got, want)
-	}
-
-	if err := tw2.Import(exp); err == nil {
-		t.Fatal("import into non-empty time window must fail")
 	}
 }
